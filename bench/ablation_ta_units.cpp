@@ -5,10 +5,10 @@
 // plus the area cost of each configuration.
 #include <iostream>
 
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/igm/igm.hpp"
 #include "rtad/sim/rng.hpp"
+#include "rtad/trace/pft.hpp"
 #include "rtad/trim/area_model.hpp"
 #include "rtad/workloads/trace_generator.hpp"
 
@@ -20,7 +20,7 @@ int main() {
 
   // Pre-encode a branch-heavy trace burst (omnetpp waypoints).
   workloads::TraceGenerator gen(profile, 3);
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
   std::size_t waypoints = 0;
@@ -39,7 +39,7 @@ int main() {
     sim::Fifo<coresight::TpiuWord> port(1u << 16);
     coresight::TpiuWord w;
     for (const auto b : bytes) {
-      w.bytes[w.count] = coresight::TraceByte{b, 0, 0, false};
+      w.bytes[w.count] = trace::TraceByte{b, 0, 0, false};
       if (++w.count == 4) {
         port.push(w);
         w = coresight::TpiuWord{};

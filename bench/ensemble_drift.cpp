@@ -24,21 +24,21 @@
 //      the JSON body; wall-clock (including the retrain wall time) goes to
 //      stderr and the trailing "host" object only.
 //
-// Environment knobs: RTAD_ENSEMBLE_BENCH_BENCHMARK (default astar);
+// The drifting profile derives from astar. Environment knobs:
 // RTAD_ENSEMBLE_BENCH_ATTACKS per session (default 4);
 // RTAD_ENSEMBLE_BENCH_SESSIONS for the serve stage (default 8);
-// RTAD_ENSEMBLE_BENCH_JSON (default BENCH_ensemble.json);
-// RTAD_ENSEMBLE_FAST_TRAIN=1 shrinks training for CI; plus RTAD_SCHED /
-// RTAD_BACKEND / RTAD_JOBS as everywhere. stdout and the JSON document
+// RTAD_BENCH_JSON (default BENCH_ensemble.json) and RTAD_FAST_TRAIN=1 as
+// in bench/common.hpp; plus RTAD_SCHED / RTAD_BACKEND / RTAD_JOBS as
+// everywhere. stdout and the JSON document
 // minus its trailing "host" object are byte-identical across schedulers,
 // backends, and worker counts.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
@@ -75,28 +75,14 @@ double fp_rate(const core::DetectionResult& r) {
                                  static_cast<double>(r.inferences);
 }
 
-}  // namespace
-
-int main() {
-  std::cout << "ENSEMBLE DRIFT: ROLLING GENERATIONS VS A PHASE-SHIFTING "
-               "WORKLOAD\n\n";
-
-  const std::string base_name = workloads::find_profile(
-      core::env::string_or("RTAD_ENSEMBLE_BENCH_BENCHMARK", "astar")).name;
+int run() {
+  const std::string base_name = workloads::find_profile("astar").name;
   const std::string drift_name = base_name + "-drift";
   const std::size_t attacks =
       core::env::positive_or("RTAD_ENSEMBLE_BENCH_ATTACKS", 4);
   const std::size_t sessions =
       core::env::positive_or("RTAD_ENSEMBLE_BENCH_SESSIONS", 8);
 
-  core::TrainingOptions topt;
-  if (core::env::flag_or("RTAD_ENSEMBLE_FAST_TRAIN", false)) {
-    topt.lstm_train_tokens = 400;
-    topt.lstm_val_tokens = 150;
-    topt.elm_train_windows = 100;
-    topt.elm_val_windows = 40;
-    topt.lstm.epochs = 1;
-  }
   const auto resolver = [base_name,
                          drift_name](const std::string& name) {
     workloads::SpecProfile p = workloads::find_profile(
@@ -109,7 +95,9 @@ int main() {
     }
     return p;
   };
-  auto cache = std::make_shared<core::TrainedModelCache>(topt, resolver);
+  const auto cache = bench::model_cache(resolver);
+  std::cout << "ENSEMBLE DRIFT: ROLLING GENERATIONS VS A PHASE-SHIFTING "
+               "WORKLOAD\n\n";
 
   core::EnsembleParams base_params;
   base_params.quorum = 0;  // full quorum: every member must agree to flag
@@ -185,18 +173,13 @@ int main() {
       inert_result.detections == still_base.detections &&
       inert_result.inferences == still_base.inferences &&
       inert_result.simulated_ps == still_base.simulated_ps;
-  const bool fp_gate_ok =
-      rows.back().result.false_positives < rows.front().result.false_positives;
-  if (!fp_gate_ok) {
-    std::cerr << "ensemble_drift: FAIL — size 9 FPs ("
-              << rows.back().result.false_positives
-              << ") not strictly below size 1 ("
-              << rows.front().result.false_positives << ")\n";
-  }
-  if (!identity_ok) {
-    std::cerr << "ensemble_drift: FAIL — zero-drift size-1 ensemble "
-                 "diverged from the frozen baseline\n";
-  }
+  bench::Gates gates("ensemble_drift");
+  const std::uint64_t fp1 = rows.front().result.false_positives;
+  const std::uint64_t fp9 = rows.back().result.false_positives;
+  const std::string fps = std::to_string(fp9) + " vs " + std::to_string(fp1);
+  gates.check(fp9 < fp1, "size 9 FPs not strictly below size 1: " + fps);
+  gates.check(identity_ok,
+              "zero-drift size-1 ensemble diverged from the frozen baseline");
 
   // --- stage 3: retrain overhead on the serve fleet ---
   serve::ServiceConfig scfg;
@@ -243,11 +226,8 @@ int main() {
                             serve_off.sessions_completed &&
                         serve_on.ensemble_swaps > 0 &&
                         serve_on.generations_trained > 0;
-  if (!serve_ok) {
-    std::cerr << "ensemble_drift: FAIL — ensemble fleet lost sessions or "
-                 "never retrained\n";
-  }
-  const bool ok = fp_gate_ok && identity_ok && serve_ok;
+  gates.check(serve_ok, "ensemble fleet lost sessions or never retrained");
+  const bool ok = gates.ok();
 
   // --- stdout report (deterministic) ---
   std::cout << "Workload: " << drift_name << " (period "
@@ -287,12 +267,7 @@ int main() {
 
   // --- JSON artifact: deterministic body, host-dependent timings isolated
   // in the trailing "host" object ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_ENSEMBLE_BENCH_JSON", "BENCH_ensemble.json");
-  {
-    std::ofstream js(json_path);
-    obs::JsonWriter json(js);
-    json.begin_object();
+  const auto body = [&](obs::JsonWriter& json) {
     json.field("schema", "rtad.ensemble.bench.v1");
     json.field("benchmark", drift_name);
     json.field("attacks_per_session", static_cast<std::uint64_t>(attacks));
@@ -344,9 +319,10 @@ int main() {
     json.field("retrain_work_units", serve_on.retrain_work_units);
     json.end_object();
     json.field("gates_pass", ok);
-    // Host-dependent wall-clock lives in this one trailing object; strip
-    // it (json.pop("host")) before any byte comparison.
-    json.key("host").begin_object();
+  };
+  // Host-dependent wall-clock lives in this one trailing object; strip it
+  // (json.pop("host")) before any byte comparison.
+  const auto host = [&](obs::JsonWriter& json) {
     for (const SizeRow& row : rows) {
       json.field("size_" + std::to_string(row.size) + "_wall_ms",
                  row.wall_ms);
@@ -355,10 +331,11 @@ int main() {
     json.field("serve_on_wall_ms", serve_on_wall_ms);
     json.field("retrain_wall_ms",
                static_cast<double>(serve_on.retrain_wall_ns) / 1e6);
-    json.end_object();
-    json.end_object();
-    js << '\n';
-  }
-  std::cerr << "ensemble_drift: wrote " << json_path << "\n";
-  return ok ? 0 : 1;
+  };
+  bench::write_json("ensemble_drift", "BENCH_ensemble.json", body, host);
+  return gates.exit_code();
 }
+
+}  // namespace
+
+int main() { return bench::run("ensemble_drift", run); }

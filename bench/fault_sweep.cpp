@@ -14,85 +14,40 @@
 // plus, for r>0, a 20k-cycle watchdog and the IGM drop-and-resync overflow
 // policy so every recovery path is exercised.
 //
-// Environment knobs: RTAD_SWEEP_BENCHMARK (default astar);
-// RTAD_SWEEP_MODELS="elm,lstm" / RTAD_SWEEP_ENGINES="miaow,ml-miaow"
-// (defaults lstm / ml-miaow); RTAD_SWEEP_ATTACKS=N (default 4);
-// RTAD_SWEEP_RATES="0,0.002,0.02" (sorted+deduped; default
-// "0,0.0002,0.001,0.005,0.02"); RTAD_SWEEP_JSON=path (default
-// BENCH_fault_sweep.json); RTAD_SWEEP_FAST_TRAIN=1 shrinks training;
-// RTAD_JOBS / RTAD_SCHED as everywhere — stdout is byte-identical across
-// both and across worker counts (wall-clock diagnostics go to stderr).
+// The cell is astar, LSTM on ML-MIAOW. Environment knobs:
+// RTAD_SWEEP_ATTACKS=N (default 4); RTAD_SWEEP_RATES="0,0.002,0.02"
+// (sorted+deduped; default "0,0.0002,0.001,0.005,0.02"); RTAD_BENCH_JSON
+// (default BENCH_fault_sweep.json) and RTAD_FAST_TRAIN=1 as in
+// bench/common.hpp; RTAD_JOBS / RTAD_SCHED as everywhere — stdout is
+// byte-identical across both and across worker counts (wall-clock
+// diagnostics go to stderr).
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
+#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
+#include "rtad/obs/json.hpp"
 
 using namespace rtad;
 
 namespace {
 
-std::vector<std::string> csv_items(const char* env) {
-  std::vector<std::string> items;
-  std::stringstream ss(env);
-  std::string item;
-  while (std::getline(ss, item, ',')) items.push_back(item);
-  return items;
-}
-
-std::vector<core::ModelKind> selected_models() {
-  std::vector<core::ModelKind> models;
-  if (const char* env = std::getenv("RTAD_SWEEP_MODELS")) {
-    for (const auto& item : csv_items(env)) {
-      if (item == "elm") {
-        models.push_back(core::ModelKind::kElm);
-      } else if (item == "lstm") {
-        models.push_back(core::ModelKind::kLstm);
-      } else {
-        std::cerr << "fault_sweep: unknown model '" << item << "'\n";
-        std::exit(2);
-      }
-    }
-  }
-  if (models.empty()) models.push_back(core::ModelKind::kLstm);
-  return models;
-}
-
-std::vector<core::EngineKind> selected_engines() {
-  std::vector<core::EngineKind> engines;
-  if (const char* env = std::getenv("RTAD_SWEEP_ENGINES")) {
-    for (const auto& item : csv_items(env)) {
-      if (item == "miaow") {
-        engines.push_back(core::EngineKind::kMiaow);
-      } else if (item == "ml-miaow") {
-        engines.push_back(core::EngineKind::kMlMiaow);
-      } else {
-        std::cerr << "fault_sweep: unknown engine '" << item << "'\n";
-        std::exit(2);
-      }
-    }
-  }
-  if (engines.empty()) engines.push_back(core::EngineKind::kMlMiaow);
-  return engines;
-}
+constexpr core::ModelKind kModel = core::ModelKind::kLstm;
+constexpr core::EngineKind kEngine = core::EngineKind::kMlMiaow;
 
 std::vector<double> selected_rates() {
-  const char* env = std::getenv("RTAD_SWEEP_RATES");
+  const std::vector<std::string> ladder{"0", "0.0002", "0.001", "0.005",
+                                        "0.02"};
   std::vector<double> rates;
-  for (const auto& item : csv_items(env ? env : "0,0.0002,0.001,0.005,0.02")) {
-    rates.push_back(std::stod(item));
+  for (const auto& item : core::env::list_or("RTAD_SWEEP_RATES", ladder)) {
+    rates.push_back(core::env::number("RTAD_SWEEP_RATES", item, 0.0, 0.1));
   }
   std::sort(rates.begin(), rates.end());
   rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
-  if (rates.empty() || rates.front() < 0.0 || rates.back() > 0.1) {
-    std::cerr << "fault_sweep: rates must be in [0, 0.1]\n";
-    std::exit(2);
-  }
   return rates;
 }
 
@@ -125,90 +80,51 @@ std::uint64_t recovery_sum(const core::DetectionResult& d) {
          d.mcm_stalls_injected + d.bus_errors + d.irqs_lost;
 }
 
-}  // namespace
-
-int main() {
+int run() {
+  const std::string benchmark = workloads::find_profile("astar").name;
+  const auto rates = selected_rates();
+  core::DetectionOptions dopt;
+  dopt.attacks = core::env::positive_or("RTAD_SWEEP_ATTACKS", 4);
   std::cout << "FAULT SWEEP: DETECTION UNDER DETERMINISTIC FAULT INJECTION\n\n";
 
-  const char* benchmark_env = std::getenv("RTAD_SWEEP_BENCHMARK");
-  const std::string benchmark =
-      workloads::find_profile(benchmark_env ? benchmark_env : "astar").name;
-  const auto models = selected_models();
-  const auto engines = selected_engines();
-  const auto rates = selected_rates();
-
-  core::DetectionOptions dopt;
-  dopt.attacks = 4;
-  if (const char* env = std::getenv("RTAD_SWEEP_ATTACKS")) {
-    dopt.attacks = static_cast<std::size_t>(std::atoi(env));
-  }
-
-  // Cell layout: per (model, engine) one baseline cell (no plan at all),
-  // then one cell per rate bin (bin 0 runs the engaged-but-all-zero plan so
-  // the baseline comparison proves plan-present == plan-absent).
-  const std::size_t stride = 1 + rates.size();
+  // Cell layout: one baseline cell (no plan at all), then one cell per rate
+  // bin (bin 0 runs the engaged-but-all-zero plan so the baseline
+  // comparison proves plan-present == plan-absent).
   std::vector<core::DetectionCell> cells;
-  for (const auto model : models) {
-    for (const auto engine : engines) {
-      auto base = dopt;
-      base.faults.reset();
-      cells.push_back({benchmark, model, engine, base});
-      for (const double rate : rates) {
-        auto opts = dopt;
-        opts.faults = plan_for(rate);
-        cells.push_back({benchmark, model, engine, opts});
-      }
-    }
+  auto base = dopt;
+  base.faults.reset();
+  cells.push_back({benchmark, kModel, kEngine, base});
+  for (const double rate : rates) {
+    auto opts = dopt;
+    opts.faults = plan_for(rate);
+    cells.push_back({benchmark, kModel, kEngine, opts});
   }
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (const char* env = std::getenv("RTAD_SWEEP_FAST_TRAIN");
-      env != nullptr && env[0] == '1') {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  }
-
-  core::ExperimentRunner runner(0, cache);
+  core::ExperimentRunner runner(0, bench::model_cache());
   std::cerr << "fault_sweep: " << cells.size() << " cells on "
             << runner.pool().worker_count() << " workers...\n";
   const auto results = runner.run_detection_matrix(cells);
 
   // --- regression gates ---
-  bool ok = true;
-  for (std::size_t g = 0; g < cells.size() / stride; ++g) {
-    const auto* group = &results[g * stride];
-    const auto& baseline = group[0].detection;
-    const auto label = std::string(core::to_string(cells[g * stride].model)) +
-                       "/" + core::to_string(cells[g * stride].engine);
-    for (std::size_t b = 0; b < rates.size(); ++b) {
-      const auto& d = group[1 + b].detection;
-      if (rates[b] == 0.0) {
-        // Zero-fault identity: same digest, same simulated time, same
-        // outcome — the fault layer must be invisible when idle.
-        if (d.score_digest != baseline.score_digest ||
-            d.simulated_ps != baseline.simulated_ps ||
-            d.detections != baseline.detections ||
-            d.inferences != baseline.inferences || d.fault_events != 0) {
-          std::cerr << "fault_sweep: FAIL — " << label
-                    << " zero-rate bin differs from the no-plan baseline\n";
-          ok = false;
-        }
-      } else {
-        if (d.fault_events == 0) {
-          std::cerr << "fault_sweep: FAIL — " << label << " rate "
-                    << rates[b] << " injected no faults\n";
-          ok = false;
-        }
-        if (b + 1 == rates.size() && recovery_sum(d) == 0) {
-          std::cerr << "fault_sweep: FAIL — " << label
-                    << " max-rate bin shows no recovery activity\n";
-          ok = false;
-        }
+  bench::Gates gates("fault_sweep");
+  const auto& baseline = results[0].detection;
+  for (std::size_t b = 0; b < rates.size(); ++b) {
+    const auto& d = results[1 + b].detection;
+    const std::string bin = "rate " + core::fmt(rates[b], 4);
+    if (rates[b] == 0.0) {
+      // Zero-fault identity: same digest, same simulated time, same
+      // outcome — the fault layer must be invisible when idle.
+      const bool identical = d.score_digest == baseline.score_digest &&
+                             d.simulated_ps == baseline.simulated_ps &&
+                             d.detections == baseline.detections &&
+                             d.inferences == baseline.inferences &&
+                             d.fault_events == 0;
+      gates.check(identical, "zero-rate bin differs from the no-plan baseline");
+    } else {
+      gates.check(d.fault_events != 0, bin + " injected no faults");
+      if (b + 1 == rates.size()) {
+        gates.check(recovery_sum(d) != 0,
+                    "max-rate bin shows no recovery activity");
       }
     }
   }
@@ -219,19 +135,20 @@ int main() {
                      "mcm_rec", "bus_err", "irq_lost"});
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& d = results[i].detection;
-    const std::size_t slot = i % stride;
-    const std::string rate_label =
-        slot == 0 ? "none" : core::fmt(rates[slot - 1], 4);
+    const std::string rate_label = i == 0 ? "none" : core::fmt(rates[i - 1], 4);
     table.add_row({rate_label, core::to_string(cells[i].model),
                    core::to_string(cells[i].engine),
                    std::to_string(d.detections) + "/" +
                        std::to_string(d.attacks),
-                   core::fmt_count(d.false_positives), core::fmt(d.mean_latency_us, 1),
-                   core::fmt_count(d.inferences), core::fmt_count(d.fault_events),
+                   core::fmt_count(d.false_positives),
+                   core::fmt(d.mean_latency_us, 1),
+                   core::fmt_count(d.inferences),
+                   core::fmt_count(d.fault_events),
                    core::fmt_count(d.trace_bytes_corrupted),
                    core::fmt_count(d.decode_resyncs),
                    core::fmt_count(d.ta_dropped_branches),
-                   core::fmt_count(d.mcm_recoveries), core::fmt_count(d.bus_errors),
+                   core::fmt_count(d.mcm_recoveries),
+                   core::fmt_count(d.bus_errors),
                    core::fmt_count(d.irqs_lost)});
   }
   std::cout << "Benchmark: " << benchmark << ", " << dopt.attacks
@@ -240,48 +157,48 @@ int main() {
   table.print(std::cout);
   std::cout << "\n";
   core::ExperimentRunner::print_health(std::cout, cells, results);
-  std::cout << "\nZero-fault identity: " << (ok ? "PASS" : "FAIL") << "\n";
+  std::cout << "\nZero-fault identity: " << (gates.ok() ? "PASS" : "FAIL")
+            << "\n";
 
   // --- JSON artifact (rate bins ascending; deterministic fields only) ---
-  const char* json_env = std::getenv("RTAD_SWEEP_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_fault_sweep.json";
-  {
-    std::ofstream js(json_path);
-    js << "{\n  \"benchmark\": \"" << benchmark << "\",\n"
-       << "  \"attacks_per_cell\": " << dopt.attacks << ",\n"
-       << "  \"zero_fault_identical\": " << (ok ? "true" : "false") << ",\n"
-       << "  \"bins\": [\n";
-    bool first = true;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const std::size_t slot = i % stride;
-      if (slot == 0) continue;  // baseline cells are a gate, not a bin
+  const auto body = [&](obs::JsonWriter& json) {
+    json.field("benchmark", benchmark);
+    json.field("attacks_per_cell", static_cast<std::uint64_t>(dopt.attacks));
+    json.field("zero_fault_identical", gates.ok());
+    json.key("bins").begin_array();
+    // The baseline cell (i = 0) is a gate, not a bin.
+    for (std::size_t i = 1; i < cells.size(); ++i) {
       const auto& d = results[i].detection;
-      if (!first) js << ",\n";
-      first = false;
-      js << "    {\"rate\": " << rates[slot - 1] << ", \"model\": \""
-         << core::to_string(cells[i].model) << "\", \"engine\": \""
-         << core::to_string(cells[i].engine)
-         << "\", \"detections\": " << d.detections
-         << ", \"attacks\": " << d.attacks
-         << ", \"mean_latency_us\": " << core::fmt(d.mean_latency_us, 3)
-         << ", \"false_positives\": " << d.false_positives
-         << ", \"inferences\": " << d.inferences
-         << ", \"fault_events\": " << d.fault_events
-         << ", \"trace_bytes_corrupted\": " << d.trace_bytes_corrupted
-         << ", \"decode_bad_packets\": " << d.decode_bad_packets
-         << ", \"decode_resyncs\": " << d.decode_resyncs
-         << ", \"ta_dropped_branches\": " << d.ta_dropped_branches
-         << ", \"fifo_drops\": " << d.fifo_drops
-         << ", \"mcm_recoveries\": " << d.mcm_recoveries
-         << ", \"mcm_stalls_injected\": " << d.mcm_stalls_injected
-         << ", \"bus_errors\": " << d.bus_errors
-         << ", \"bus_fault_cycles\": " << d.bus_fault_cycles
-         << ", \"irqs_lost\": " << d.irqs_lost << "}";
+      json.begin_object();
+      json.field("rate", rates[i - 1]);
+      json.field("model", core::to_string(cells[i].model));
+      json.field("engine", core::to_string(cells[i].engine));
+      json.field("detections", d.detections);
+      json.field("attacks", d.attacks);
+      json.field("mean_latency_us", d.mean_latency_us);
+      json.field("false_positives", d.false_positives);
+      json.field("inferences", d.inferences);
+      json.field("fault_events", d.fault_events);
+      json.field("trace_bytes_corrupted", d.trace_bytes_corrupted);
+      json.field("decode_bad_packets", d.decode_bad_packets);
+      json.field("decode_resyncs", d.decode_resyncs);
+      json.field("ta_dropped_branches", d.ta_dropped_branches);
+      json.field("fifo_drops", d.fifo_drops);
+      json.field("mcm_recoveries", d.mcm_recoveries);
+      json.field("mcm_stalls_injected", d.mcm_stalls_injected);
+      json.field("bus_errors", d.bus_errors);
+      json.field("bus_fault_cycles", d.bus_fault_cycles);
+      json.field("irqs_lost", d.irqs_lost);
+      json.end_object();
     }
-    js << "\n  ]\n}\n";
-  }
-  std::cerr << "fault_sweep: wrote " << json_path << "\n";
+    json.end_array();
+  };
+  bench::write_json("fault_sweep", "BENCH_fault_sweep.json", body);
 
   runner.print_cell_costs(std::cerr, cells, results);
-  return ok ? 0 : 1;
+  return gates.exit_code();
 }
+
+}  // namespace
+
+int main() { return bench::run("fault_sweep", run); }

@@ -20,9 +20,8 @@
 // shape and stdout are unchanged unless more than one protocol is listed;
 // per-protocol bytes/branch and decode-cycle stats go to stderr);
 // RTAD_JOBS=N sets worker count (default: hardware concurrency);
-// RTAD_FIG8_FAST_TRAIN=1 shrinks the training corpus so CI perf smokes are
-// dominated by simulation, not host-side model training (the resulting
-// latencies are still deterministic, just trained on fewer tokens);
+// RTAD_FAST_TRAIN=1 shrinks the training corpus (bench/common.hpp) and
+// pre-warms the model cache so matrix_wall_ms covers simulation only;
 // RTAD_SCHED=dense|event selects the simulation kernel — stdout is
 // byte-identical either way, scheduler statistics go to stderr;
 // RTAD_BACKEND=cycle|fast selects the kernel execution backend (stdout and
@@ -37,11 +36,11 @@
 // and leave stdout untouched (cycle accounts go to stderr).
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
+#include "common.hpp"
+#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/kernel_compiler.hpp"
@@ -51,77 +50,50 @@ using namespace rtad;
 
 namespace {
 
-std::vector<std::string> csv_items(const char* env) {
-  std::vector<std::string> items;
-  std::stringstream ss(env);
-  std::string item;
-  while (std::getline(ss, item, ',')) items.push_back(item);
-  return items;
+/// Items of the comma-list knob `knob`, each one of `names`; all of
+/// `names` when unset.
+std::vector<std::string> knob_list(const char* knob,
+                                   std::initializer_list<const char*> names) {
+  return core::env::list_or(knob, {names.begin(), names.end()}, names);
 }
 
 std::vector<std::string> selected_benchmarks() {
-  if (const char* env = std::getenv("RTAD_FIG8_BENCHMARKS")) {
-    std::vector<std::string> names;
-    for (const auto& item : csv_items(env)) {
-      names.push_back(workloads::find_profile(item).name);
-    }
-    return names;
+  const auto all = workloads::spec_names();
+  std::vector<std::string> names;
+  for (const auto& b : core::env::list_or("RTAD_FIG8_BENCHMARKS", all)) {
+    names.push_back(workloads::find_profile(b).name);
   }
-  return workloads::spec_names();
+  return names;
 }
 
 std::vector<core::ModelKind> selected_models() {
-  if (const char* env = std::getenv("RTAD_FIG8_MODELS")) {
-    std::vector<core::ModelKind> models;
-    for (const auto& item : csv_items(env)) {
-      if (item == "elm") {
-        models.push_back(core::ModelKind::kElm);
-      } else if (item == "lstm") {
-        models.push_back(core::ModelKind::kLstm);
-      } else {
-        std::cerr << "fig8: unknown model '" << item << "' (elm|lstm)\n";
-        std::exit(2);
-      }
-    }
-    if (!models.empty()) return models;
+  std::vector<core::ModelKind> models;
+  for (const auto& m : knob_list("RTAD_FIG8_MODELS", {"elm", "lstm"})) {
+    models.push_back(m == "elm" ? core::ModelKind::kElm
+                                : core::ModelKind::kLstm);
   }
-  return {core::ModelKind::kElm, core::ModelKind::kLstm};
+  return models;
 }
 
 std::vector<trace::TraceProtocol> selected_protocols() {
-  if (const char* env = std::getenv("RTAD_FIG8_PROTO")) {
-    std::vector<trace::TraceProtocol> protos;
-    for (const auto& item : csv_items(env)) {
-      if (item == "pft") {
-        protos.push_back(trace::TraceProtocol::kPft);
-      } else if (item == "etrace") {
-        protos.push_back(trace::TraceProtocol::kEtrace);
-      } else {
-        std::cerr << "fig8: unknown protocol '" << item << "' (pft|etrace)\n";
-        std::exit(2);
-      }
-    }
-    if (!protos.empty()) return protos;
+  const char* fallback = trace::to_string(trace::default_trace_protocol());
+  const auto items =
+      core::env::list_or("RTAD_FIG8_PROTO", {fallback}, {"pft", "etrace"});
+  std::vector<trace::TraceProtocol> protos;
+  for (const auto& p : items) {
+    protos.push_back(p == "pft" ? trace::TraceProtocol::kPft
+                                : trace::TraceProtocol::kEtrace);
   }
-  return {trace::default_trace_protocol()};
+  return protos;
 }
 
 std::vector<core::EngineKind> selected_engines() {
-  if (const char* env = std::getenv("RTAD_FIG8_ENGINES")) {
-    std::vector<core::EngineKind> engines;
-    for (const auto& item : csv_items(env)) {
-      if (item == "miaow") {
-        engines.push_back(core::EngineKind::kMiaow);
-      } else if (item == "ml-miaow") {
-        engines.push_back(core::EngineKind::kMlMiaow);
-      } else {
-        std::cerr << "fig8: unknown engine '" << item << "' (miaow|ml-miaow)\n";
-        std::exit(2);
-      }
-    }
-    if (!engines.empty()) return engines;
+  std::vector<core::EngineKind> engines;
+  for (const auto& e : knob_list("RTAD_FIG8_ENGINES", {"miaow", "ml-miaow"})) {
+    engines.push_back(e == "miaow" ? core::EngineKind::kMiaow
+                                   : core::EngineKind::kMlMiaow);
   }
-  return {core::EngineKind::kMiaow, core::EngineKind::kMlMiaow};
+  return engines;
 }
 
 struct Agg {
@@ -134,16 +106,9 @@ struct Agg {
   double mean() const { return n == 0 ? 0.0 : sum / static_cast<double>(n); }
 };
 
-}  // namespace
-
-int main() {
-  std::cout << "FIG. 8: LATENCIES OF ANOMALY DETECTION (us)\n\n";
-
+int run() {
   core::DetectionOptions dopt;
-  dopt.attacks = 8;
-  if (const char* env = std::getenv("RTAD_FIG8_ATTACKS")) {
-    dopt.attacks = static_cast<std::size_t>(std::atoi(env));
-  }
+  dopt.attacks = core::env::positive_or("RTAD_FIG8_ATTACKS", 8);
 
   // Cell order per benchmark is protocol-major then model-major: with the
   // default single protocol that's ELM/MIAOW, ELM/ML-MIAOW, LSTM/MIAOW,
@@ -152,6 +117,8 @@ int main() {
   const auto protos = selected_protocols();
   const auto models = selected_models();
   const auto engines = selected_engines();
+  const std::uint64_t probes = core::env::u64_or("RTAD_FIG8_BACKEND_PROBE", 0);
+  std::cout << "FIG. 8: LATENCIES OF ANOMALY DETECTION (us)\n\n";
   const std::size_t stride = protos.size() * models.size() * engines.size();
   std::vector<core::DetectionCell> cells;
   cells.reserve(benchmarks.size() * stride);
@@ -167,23 +134,13 @@ int main() {
     }
   }
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (const char* env = std::getenv("RTAD_FIG8_FAST_TRAIN");
-      env != nullptr && env[0] == '1') {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  }
+  const auto cache = bench::model_cache();
 
   // With a fast-train cache, pre-warm every benchmark's models before the
   // matrix so the timed region below is pure simulation. Training is
   // identical host-side work under either scheduler kernel; keeping it out
   // of matrix_wall_ms lets the perf smoke compare the kernels themselves.
-  if (cache) {
+  if (bench::fast_train()) {
     for (const auto& name : benchmarks) cache->get(name);
   }
 
@@ -193,42 +150,37 @@ int main() {
   // backend is responsible for — inside the matrix, wall-clock during a
   // launch also covers the concurrently simulated CPU/fabric domains,
   // which no GPU backend can remove. Diagnostics only (stderr).
-  if (const char* env = std::getenv("RTAD_FIG8_BACKEND_PROBE")) {
-    const int probes = std::atoi(env);
-    if (probes > 0) {
-      if (!cache) cache = std::make_shared<core::TrainedModelCache>();
-      const core::TrainedModels& trained = cache->get(benchmarks.front());
-      const core::ModelKind probe_model = models.front();
-      const ml::ModelImage& image = trained.image(probe_model);
-      double wall_us[2] = {0.0, 0.0};
-      std::uint64_t probe_fast_launches = 0;
-      for (int bi = 0; bi < 2; ++bi) {
-        gpgpu::GpuConfig cfg;
-        cfg.backend =
-            bi == 0 ? gpgpu::GpuBackend::kCycle : gpgpu::GpuBackend::kFast;
-        gpgpu::Gpu gpu(cfg);
-        ml::load_image(gpu, image);
-        std::vector<std::uint32_t> payload(image.input_words, 1);
-        ml::run_inference_offline(gpu, image, payload);  // warm decode cache
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < probes; ++i) {
-          payload[0] = static_cast<std::uint32_t>(i % 13);
-          ml::run_inference_offline(gpu, image, payload);
-        }
-        wall_us[bi] = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        if (bi == 1) probe_fast_launches = gpu.fast_launches();
+  if (probes > 0) {
+    const core::TrainedModels& trained = cache->get(benchmarks.front());
+    const core::ModelKind probe_model = models.front();
+    const ml::ModelImage& image = trained.image(probe_model);
+    double wall_us[2] = {0.0, 0.0};
+    std::uint64_t probe_fast_launches = 0;
+    for (int bi = 0; bi < 2; ++bi) {
+      gpgpu::GpuConfig cfg;
+      cfg.backend =
+          bi == 0 ? gpgpu::GpuBackend::kCycle : gpgpu::GpuBackend::kFast;
+      gpgpu::Gpu gpu(cfg);
+      ml::load_image(gpu, image);
+      std::vector<std::uint32_t> payload(image.input_words, 1);
+      ml::run_inference_offline(gpu, image, payload);  // warm decode cache
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::uint64_t i = 0; i < probes; ++i) {
+        payload[0] = static_cast<std::uint32_t>(i % 13);
+        ml::run_inference_offline(gpu, image, payload);
       }
-      std::cerr << "fig8: backend_probe model="
-                << core::to_string(probe_model) << " inferences=" << probes
-                << " cycle_wall_us=" << static_cast<long long>(wall_us[0])
-                << " fast_wall_us=" << static_cast<long long>(wall_us[1])
-                << " kernel_speedup="
-                << core::fmt(wall_us[1] > 0 ? wall_us[0] / wall_us[1] : 0.0,
-                             2)
-                << " fast_launches=" << probe_fast_launches << "\n";
+      wall_us[bi] = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      if (bi == 1) probe_fast_launches = gpu.fast_launches();
     }
+    std::cerr << "fig8: backend_probe model="
+              << core::to_string(probe_model) << " inferences=" << probes
+              << " cycle_wall_us=" << static_cast<long long>(wall_us[0])
+              << " fast_wall_us=" << static_cast<long long>(wall_us[1])
+              << " kernel_speedup="
+              << core::fmt(wall_us[1] > 0 ? wall_us[0] / wall_us[1] : 0.0, 2)
+              << " fast_launches=" << probe_fast_launches << "\n";
   }
 
   core::ExperimentRunner runner(0, cache);
@@ -396,3 +348,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("fig8", run); }

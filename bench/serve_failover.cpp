@@ -14,31 +14,25 @@
 // and the parked-blob byte footprint (high watermark + per-blob sizes) —
 // the bounded-memory half of the failover contract.
 //
-// Environment knobs: RTAD_FAILOVER_SESSIONS (default 24);
-// RTAD_FAILOVER_TENANTS (default 10); RTAD_FAILOVER_ZIPF_S (default 1.2);
-// RTAD_FAILOVER_STORMS="0.3,0.9" crash-rate sweep (default "0.3,0.9");
-// RTAD_FAILOVER_SEED (default 2026); RTAD_FAILOVER_JSON=path (default
-// BENCH_serve_failover.json); RTAD_SERVE_FAST_TRAIN=1 shrinks training;
-// plus the fleet-shape and failover knobs parsed by
-// ServiceConfig::from_env (RTAD_SERVE_SHARDS / LANES / QUEUE / RETRY /
-// CHECKPOINT_EVERY / CHECKPOINT_CAP_KB / REBALANCE_GAP_US / MIGRATE_US)
-// and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and the JSON artifact
-// are byte-identical across both schedulers and any worker count;
-// wall-clock and ru_maxrss diagnostics go to stderr only.
+// The workload is astar with Zipf s=1.2 tenant skew, storm intensities 0.3
+// and 0.9, seed 2026. Environment knobs: RTAD_FAILOVER_SESSIONS (default
+// 24); RTAD_FAILOVER_TENANTS (default 10); the fleet-shape and failover
+// knobs parsed by ServiceConfig::from_env (RTAD_SERVE_POLICY / RETRY /
+// CHECKPOINT_CAP_KB); RTAD_BENCH_JSON (default BENCH_serve_failover.json)
+// and RTAD_FAST_TRAIN=1 as in bench/common.hpp; and RTAD_JOBS /
+// RTAD_SCHED as everywhere. stdout and the JSON artifact are
+// byte-identical across both schedulers and any worker count; wall-clock
+// and ru_maxrss diagnostics go to stderr only.
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment.hpp"
-#include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/serve/service.hpp"
@@ -48,20 +42,9 @@ using namespace rtad;
 
 namespace {
 
-std::vector<double> storm_intensities() {
-  const auto raw = core::env::raw("RTAD_FAILOVER_STORMS");
-  std::vector<double> storms;
-  std::stringstream ss(raw ? *raw : std::string("0.3,0.9"));
-  std::string item;
-  while (std::getline(ss, item, ',')) storms.push_back(std::stod(item));
-  std::sort(storms.begin(), storms.end());
-  storms.erase(std::unique(storms.begin(), storms.end()), storms.end());
-  if (storms.empty() || storms.front() <= 0.0 || storms.back() > 1.0) {
-    std::cerr << "serve_failover: storm intensities must be in (0, 1]\n";
-    std::exit(2);
-  }
-  return storms;
-}
+constexpr double kZipfS = 1.2;
+constexpr std::uint64_t kSeed = 2026;
+constexpr double kStorms[] = {0.3, 0.9};
 
 fault::ServeFaultPlan storm_plan(double intensity) {
   fault::ServeFaultPlan plan;
@@ -85,21 +68,12 @@ bool same_verdict(const core::DetectionResult& a,
          a.inferences == b.inferences && a.simulated_ps == b.simulated_ps;
 }
 
-}  // namespace
-
-int main() {
-  std::cout << "SERVE FAILOVER: FAULT STORM VS CHECKPOINTED RECOVERY\n\n";
-
-  const std::string benchmark = workloads::find_profile(
-      core::env::string_or("RTAD_SERVE_BENCHMARK", "astar")).name;
+int run() {
+  const std::string benchmark = workloads::find_profile("astar").name;
   const std::size_t sessions =
       core::env::positive_or("RTAD_FAILOVER_SESSIONS", 24);
   const std::size_t tenants =
       core::env::positive_or("RTAD_FAILOVER_TENANTS", 10);
-  const double zipf_s =
-      std::stod(core::env::string_or("RTAD_FAILOVER_ZIPF_S", "1.2"));
-  const std::uint64_t seed = core::env::u64_or("RTAD_FAILOVER_SEED", 2026);
-  const auto storms = storm_intensities();
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
   scfg.detection.attacks = 1;
@@ -110,23 +84,13 @@ int main() {
   scfg.serve_faults = fault::ServeFaultPlan{};
   if (scfg.retry_budget == 0) scfg.retry_budget = 6;
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (core::env::flag_or("RTAD_SERVE_FAST_TRAIN", false)) {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  } else {
-    cache = std::make_shared<core::TrainedModelCache>();
-  }
+  const auto cache = bench::model_cache();
+  std::cout << "SERVE FAILOVER: FAULT STORM VS CHECKPOINTED RECOVERY\n\n";
 
   // One episode calibrates the arrival spacing: the fleet stays busy (load
   // about 1) through the storm horizon so faults actually land on work.
   core::DetectionOptions copt = scfg.detection;
-  copt.seed = seed;
+  copt.seed = kSeed;
   const auto cal = core::measure_detection(
       cache->profile(benchmark), cache->get(benchmark), core::ModelKind::kLstm,
       core::EngineKind::kMlMiaow, copt);
@@ -138,8 +102,8 @@ int main() {
   // One Zipf-skewed schedule, shared verbatim by the baseline and every
   // storm point: rank-0 tenants dominate, so shard load is deliberately
   // uneven and the rebalancer has hot shards to steer around.
-  sim::Xoshiro256 rng(seed ^ 0xFA110FEBULL);
-  const sim::ZipfSampler zipf(tenants, zipf_s);
+  sim::Xoshiro256 rng(kSeed ^ 0xFA110FEBULL);
+  const sim::ZipfSampler zipf(tenants, kZipfS);
   std::vector<serve::SessionRequest> schedule;
   schedule.reserve(sessions);
   sim::Picoseconds at = 0;
@@ -157,14 +121,14 @@ int main() {
                                                       : core::ModelKind::kLstm;
     req.engine = core::EngineKind::kMlMiaow;
     req.arrival_ps = at;
-    req.seed = seed + 101 * i;
+    req.seed = kSeed + 101 * i;
     req.attacks = 1;
     schedule.push_back(std::move(req));
   }
 
   std::cout << "Benchmark: " << benchmark << ", " << sessions
             << " sessions from " << tenants << " tenants (Zipf s="
-            << core::fmt(zipf_s, 2) << ")\n";
+            << core::fmt(kZipfS, 2) << ")\n";
   std::cout << "Fleet: " << scfg.shards << " shard(s) x " << scfg.lanes
             << " lane(s), retry budget " << scfg.retry_budget
             << ", checkpoint every " << scfg.checkpoint_every
@@ -185,10 +149,8 @@ int main() {
     serve::ServiceReport report;
   };
   std::vector<Point> points;
-  points.reserve(storms.size());
-
-  bool ok = true;
-  for (const double intensity : storms) {
+  bench::Gates gates("serve_failover");
+  for (const double intensity : kStorms) {
     std::cerr << "serve_failover: storm " << intensity << "...\n";
     serve::ServiceConfig storm_cfg = scfg;
     storm_cfg.serve_faults = storm_plan(intensity);
@@ -210,26 +172,22 @@ int main() {
         p.zero_divergence = false;
       }
     }
-    if (!p.zero_divergence) {
-      std::cerr << "serve_failover: FAIL — storm " << intensity << " diverged "
-                << p.divergent << " verdict(s) from the baseline fleet\n";
-      ok = false;
-    }
+    const std::string storm = "storm " + core::fmt(intensity, 2);
+    gates.check(p.zero_divergence,
+                storm + " diverged " + std::to_string(p.divergent) +
+                    " verdict(s) from the baseline fleet");
     // The parked footprint must respect a configured cap (0 = unbounded).
     const std::uint64_t cap_bytes = storm_cfg.checkpoint_cap_kb * 1024;
-    if (cap_bytes != 0 && p.report.parked_bytes_hwm > cap_bytes) {
-      std::cerr << "serve_failover: FAIL — parked bytes "
-                << p.report.parked_bytes_hwm << " exceed the cap " << cap_bytes
-                << "\n";
-      ok = false;
-    }
+    gates.check(cap_bytes == 0 || p.report.parked_bytes_hwm <= cap_bytes,
+                storm + " parked bytes " +
+                    std::to_string(p.report.parked_bytes_hwm) +
+                    " exceed the cap " + std::to_string(cap_bytes));
     points.push_back(std::move(p));
   }
   // The deepest storm must actually exercise the fault domain.
-  if (!points.empty() && points.back().report.shard_crashes == 0) {
-    std::cerr << "serve_failover: FAIL — deepest storm fired no crashes\n";
-    ok = false;
-  }
+  gates.check(points.back().report.shard_crashes != 0,
+              "deepest storm fired no crashes");
+  const bool ok = gates.ok();
 
   // --- stdout report (deterministic across RTAD_SCHED / RTAD_JOBS) ---
   core::Table table({"Storm", "done", "shed", "crash", "wedge", "brown",
@@ -256,18 +214,13 @@ int main() {
   std::cout << "Zero-divergence gate: " << (ok ? "PASS" : "FAIL") << "\n";
 
   // --- JSON artifact ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_FAILOVER_JSON", "BENCH_serve_failover.json");
-  {
-    std::ofstream js(json_path);
-    obs::JsonWriter json(js);
-    json.begin_object();
+  const auto body = [&](obs::JsonWriter& json) {
     json.field("schema", "rtad.serve.failover.v1");
     json.field("benchmark", benchmark);
     json.field("sessions", static_cast<std::uint64_t>(sessions));
     json.field("tenants", static_cast<std::uint64_t>(tenants));
-    json.field("zipf_s", zipf_s);
-    json.field("seed", seed);
+    json.field("zipf_s", kZipfS);
+    json.field("seed", kSeed);
     json.field("gates_pass", ok);
     json.key("baseline");
     serve::write_serve_report(json, base_cfg, baseline);
@@ -282,10 +235,8 @@ int main() {
       json.end_object();
     }
     json.end_array();
-    json.end_object();
-    js << '\n';
-  }
-  std::cerr << "serve_failover: wrote " << json_path << "\n";
+  };
+  bench::write_json("serve_failover", "BENCH_serve_failover.json", body);
 
   // Host-side footprint: stderr only (wall-clock/host-dependent, never part
   // of the byte-stable surface).
@@ -293,6 +244,9 @@ int main() {
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
     std::cerr << "serve_failover: ru_maxrss " << ru.ru_maxrss << " KiB\n";
   }
-
-  return ok ? 0 : 1;
+  return gates.exit_code();
 }
+
+}  // namespace
+
+int main() { return bench::run("serve_failover", run); }

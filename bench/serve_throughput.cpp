@@ -15,28 +15,22 @@
 // freak burst — the regression gates hold shed+degraded == 0 for L < 1 and
 // > 0 for the deep-overload point, deterministically.
 //
-// Environment knobs: RTAD_SERVE_BENCHMARK (default astar);
-// RTAD_SERVE_SESSIONS=N (default 32); RTAD_SERVE_TENANTS=T (default 12);
-// RTAD_SERVE_ATTACKS=A per episode (default 1);
-// RTAD_SERVE_LOADS="0.5,1.5,6" (sorted+deduped; default "0.5,1.5,6");
-// RTAD_SERVE_SEED (default 2026); RTAD_SERVE_JSON=path (default
-// BENCH_serve.json); RTAD_SERVE_FAST_TRAIN=1 shrinks training; plus the
-// fleet-shape knobs parsed by ServiceConfig::from_env (RTAD_SERVE_SHARDS /
-// LANES / QUEUE / POLICY / QUANTUM_US) and RTAD_JOBS / RTAD_SCHED as
-// everywhere. stdout and BENCH_serve.json are byte-identical across both
-// schedulers and any worker count; wall-clock diagnostics go to stderr.
+// The workload is fixed: astar, 32 sessions from 12 tenants, one attack per
+// episode, offered loads 0.5 / 1.5 / 6, seed 2026. Environment knobs: the
+// fleet shape parsed by ServiceConfig::from_env (RTAD_SERVE_POLICY /
+// RETRY / CHECKPOINT_CAP_KB), RTAD_BENCH_JSON (default
+// BENCH_serve.json) and RTAD_FAST_TRAIN=1 as in bench/common.hpp, and
+// RTAD_JOBS / RTAD_SCHED as everywhere. stdout and BENCH_serve.json are
+// byte-identical across both schedulers and any worker count; wall-clock
+// diagnostics go to stderr.
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "rtad/core/env.hpp"
+#include "common.hpp"
 #include "rtad/core/experiment.hpp"
-#include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/serve/service.hpp"
@@ -46,20 +40,11 @@ using namespace rtad;
 
 namespace {
 
-std::vector<double> selected_loads() {
-  const auto raw = core::env::raw("RTAD_SERVE_LOADS");
-  std::vector<double> loads;
-  std::stringstream ss(raw ? *raw : std::string("0.5,1.5,6"));
-  std::string item;
-  while (std::getline(ss, item, ',')) loads.push_back(std::stod(item));
-  std::sort(loads.begin(), loads.end());
-  loads.erase(std::unique(loads.begin(), loads.end()), loads.end());
-  if (loads.empty() || loads.front() <= 0.0 || loads.back() > 16.0) {
-    std::cerr << "serve_throughput: loads must be in (0, 16]\n";
-    std::exit(2);
-  }
-  return loads;
-}
+constexpr std::size_t kSessions = 32;
+constexpr std::size_t kTenants = 12;
+constexpr std::size_t kAttacks = 1;
+constexpr std::uint64_t kSeed = 2026;
+constexpr double kLoads[] = {0.5, 1.5, 6.0};
 
 serve::TenantClass class_of(std::size_t tenant_index) {
   // Two batch tenants out of every six; the rest interactive.
@@ -72,43 +57,21 @@ core::ModelKind model_of(serve::TenantClass cls) {
                                                  : core::ModelKind::kElm;
 }
 
-}  // namespace
-
-int main() {
-  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
-
-  const std::string benchmark = workloads::find_profile(
-      core::env::string_or("RTAD_SERVE_BENCHMARK", "astar")).name;
-  const std::size_t sessions =
-      core::env::positive_or("RTAD_SERVE_SESSIONS", 32);
-  const std::size_t tenants = core::env::positive_or("RTAD_SERVE_TENANTS", 12);
-  const std::size_t attacks = core::env::positive_or("RTAD_SERVE_ATTACKS", 1);
-  const std::uint64_t seed = core::env::u64_or("RTAD_SERVE_SEED", 2026);
-  const auto loads = selected_loads();
+int run() {
+  const std::string benchmark = workloads::find_profile("astar").name;
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
-  scfg.detection.attacks = attacks;
+  scfg.detection.attacks = kAttacks;
   scfg.detection.trace_path.clear();
   scfg.detection.metrics_path.clear();
-
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (core::env::flag_or("RTAD_SERVE_FAST_TRAIN", false)) {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  } else {
-    cache = std::make_shared<core::TrainedModelCache>();
-  }
+  const auto cache = bench::model_cache();
+  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
 
   // --- calibration: one episode per tenant class, serve-identical options
   const auto profile = cache->profile(benchmark);
   const core::TrainedModels& models = cache->get(benchmark);
   core::DetectionOptions copt = scfg.detection;
-  copt.seed = seed;
+  copt.seed = kSeed;
   const auto cal_lstm = core::measure_detection(
       profile, models, core::ModelKind::kLstm, core::EngineKind::kMlMiaow,
       copt);
@@ -122,8 +85,8 @@ int main() {
   const double capacity =
       static_cast<double>(scfg.shards) * static_cast<double>(scfg.lanes);
 
-  std::cout << "Benchmark: " << benchmark << ", " << sessions
-            << " sessions from " << tenants << " tenants, " << attacks
+  std::cout << "Benchmark: " << benchmark << ", " << kSessions
+            << " sessions from " << kTenants << " tenants, " << kAttacks
             << " attack(s) per episode\n";
   std::cout << "Fleet: " << scfg.shards << " shard(s) x " << scfg.lanes
             << " lane(s), ingress queue " << scfg.queue_capacity
@@ -143,21 +106,20 @@ int main() {
     serve::ServiceReport report;
   };
   std::vector<Point> points;
-  points.reserve(loads.size());
 
-  for (std::size_t li = 0; li < loads.size(); ++li) {
-    const double load = loads[li];
+  for (std::size_t li = 0; li < std::size(kLoads); ++li) {
+    const double load = kLoads[li];
     // Open-loop generator: arrival rate = load x capacity / mean service.
     const double mean_gap_ps = mean_service_ps / (load * capacity);
-    sim::Xoshiro256 rng(seed ^ (0x5EDFEEDULL + li));
+    sim::Xoshiro256 rng(kSeed ^ (0x5EDFEEDULL + li));
     std::vector<serve::SessionRequest> requests;
-    requests.reserve(sessions);
+    requests.reserve(kSessions);
     sim::Picoseconds at = 0;
-    for (std::size_t i = 0; i < sessions; ++i) {
+    for (std::size_t i = 0; i < kSessions; ++i) {
       const auto gap = static_cast<sim::Picoseconds>(
           mean_gap_ps * (0.5 + rng.uniform()));
       at += std::max<sim::Picoseconds>(1, gap);
-      const std::size_t t = i % tenants;
+      const std::size_t t = i % kTenants;
       serve::SessionRequest req;
       req.tenant = "tenant-" + std::to_string(t);
       req.cls = class_of(t);
@@ -165,15 +127,15 @@ int main() {
       req.model = model_of(req.cls);
       req.engine = core::EngineKind::kMlMiaow;
       req.arrival_ps = at;
-      req.seed = seed + 101 * i;
-      req.attacks = attacks;
+      req.seed = kSeed + 101 * i;
+      req.attacks = kAttacks;
       requests.push_back(std::move(req));
     }
 
     Point p;
     p.load = load;
     p.interarrival_us = mean_gap_ps / static_cast<double>(sim::kPsPerUs);
-    std::cerr << "serve_throughput: load " << load << " (" << sessions
+    std::cerr << "serve_throughput: load " << load << " (" << kSessions
               << " sessions)...\n";
     p.report = service.run(std::move(requests));
     sim::Picoseconds makespan = 0;
@@ -188,22 +150,18 @@ int main() {
   }
 
   // --- regression gates: overload behaviour brackets the saturation point
-  bool ok = true;
+  bench::Gates gates("serve_throughput");
   for (const auto& p : points) {
     const std::uint64_t overload =
         p.report.sessions_shed + p.report.sessions_degraded;
-    if (p.load < 1.0 && overload != 0) {
-      std::cerr << "serve_throughput: FAIL — load " << p.load
-                << " below saturation shed/degraded " << overload
-                << " sessions\n";
-      ok = false;
-    }
-    if (p.load >= 4.0 && overload == 0) {
-      std::cerr << "serve_throughput: FAIL — load " << p.load
-                << " deep overload yet nothing shed or degraded\n";
-      ok = false;
-    }
+    const std::string load = "load " + core::fmt(p.load, 2);
+    gates.check(p.load >= 1.0 || overload == 0,
+                load + " below saturation shed/degraded " +
+                    std::to_string(overload) + " sessions");
+    gates.check(p.load < 4.0 || overload != 0,
+                load + " deep overload yet nothing shed or degraded");
   }
+  const bool ok = gates.ok();
 
   // --- stdout report (deterministic across RTAD_SCHED / RTAD_JOBS) ---
   core::Table table({"Load", "offered", "done", "shed", "degr",
@@ -229,18 +187,13 @@ int main() {
   std::cout << "Saturation gates: " << (ok ? "PASS" : "FAIL") << "\n";
 
   // --- JSON artifact ---
-  const std::string json_path =
-      core::env::string_or("RTAD_SERVE_JSON", "BENCH_serve.json");
-  {
-    std::ofstream js(json_path);
-    obs::JsonWriter json(js);
-    json.begin_object();
+  const auto body = [&](obs::JsonWriter& json) {
     json.field("schema", "rtad.serve.bench.v1");
     json.field("benchmark", benchmark);
-    json.field("sessions", static_cast<std::uint64_t>(sessions));
-    json.field("tenants", static_cast<std::uint64_t>(tenants));
-    json.field("attacks_per_session", static_cast<std::uint64_t>(attacks));
-    json.field("seed", seed);
+    json.field("sessions", static_cast<std::uint64_t>(kSessions));
+    json.field("tenants", static_cast<std::uint64_t>(kTenants));
+    json.field("attacks_per_session", static_cast<std::uint64_t>(kAttacks));
+    json.field("seed", kSeed);
     json.key("calibration").begin_object();
     json.field("interactive_service_us", sim::to_us(cal_lstm.simulated_ps));
     json.field("batch_service_us", sim::to_us(cal_elm.simulated_ps));
@@ -258,10 +211,11 @@ int main() {
       json.end_object();
     }
     json.end_array();
-    json.end_object();
-    js << '\n';
-  }
-  std::cerr << "serve_throughput: wrote " << json_path << "\n";
-
-  return ok ? 0 : 1;
+  };
+  bench::write_json("serve_throughput", "BENCH_serve.json", body);
+  return gates.exit_code();
 }
+
+}  // namespace
+
+int main() { return bench::run("serve_throughput", run); }

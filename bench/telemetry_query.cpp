@@ -21,24 +21,24 @@
 // coverage conserves every ingested sample; every hot tenant outranks every
 // warm tenant; repeated queries are byte-identical.
 //
-// Environment knobs: RTAD_TELEMETRY_TENANTS (default 100000);
-// RTAD_TELEMETRY_SAMPLES per tenant (default 24); RTAD_TELEMETRY_QUERIES
-// ranked-query repetitions for the latency distribution (default 32);
-// RTAD_TELEMETRY_SEED (default 2026); RTAD_TELEMETRY_BENCH_JSON (default
-// BENCH_telemetry.json); plus the store shape via RTAD_TELEMETRY /
-// RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE (bench defaults: no spill,
-// 32 MiB cap, 8-sample pages).
+// Each tenant streams 24 samples; the first query repeats 32 times for the
+// latency distribution; the seed is 2026. Environment knobs:
+// RTAD_TELEMETRY_TENANTS (default 100000); RTAD_BENCH_JSON (default
+// BENCH_telemetry.json, see bench/common.hpp); plus the store shape via
+// RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE (bench
+// defaults: no spill, 32 MiB cap, 8-sample pages).
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
+#include "rtad/core/blob_codec.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
@@ -55,6 +55,9 @@ namespace {
 constexpr std::size_t kHotTenants = 4;
 constexpr std::size_t kWarmTenants = 4;
 constexpr sim::Picoseconds kTickPs = 50 * sim::kPsPerUs;
+constexpr std::size_t kSamples = 24;
+constexpr std::size_t kQueryReps = 32;
+constexpr std::uint64_t kSeed = 2026;
 
 std::string tenant_name(std::size_t t) {
   if (t < kHotTenants) return "hot-" + std::to_string(t);
@@ -90,22 +93,13 @@ std::vector<telemetry::Sample> synthesize(std::uint64_t seed, std::size_t t,
   return out;
 }
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
-                    std::uint64_t h = 14695981039346656037ULL) {
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Order-sensitive digest of a ranked result: tenant names and the exact
 /// severity bit patterns. One u64 pins the whole answer byte-for-byte.
 std::uint64_t rank_digest(const std::vector<telemetry::RankEntry>& ranked) {
-  std::uint64_t h = 14695981039346656037ULL;
+  using core::blob::fnv1a;
+  std::uint64_t h = core::blob::kFnvBasis;
   for (const auto& e : ranked) {
-    h = fnv1a(reinterpret_cast<const std::uint8_t*>(e.tenant.data()),
-              e.tenant.size(), h);
+    h = fnv1a(e.tenant, h);
     std::uint64_t bits;
     std::memcpy(&bits, &e.severity, sizeof(bits));
     h = fnv1a(reinterpret_cast<const std::uint8_t*>(&bits), sizeof(bits), h);
@@ -128,18 +122,11 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-}  // namespace
-
-int main() {
-  std::cout << "TELEMETRY RING STORE + RANKED ANOMALY QUERY ENGINE\n\n";
-
+int run() {
   const std::size_t tenants =
       core::env::positive_or("RTAD_TELEMETRY_TENANTS", 100'000);
-  const std::size_t samples =
-      core::env::positive_or("RTAD_TELEMETRY_SAMPLES", 24);
-  const std::size_t query_reps =
-      core::env::positive_or("RTAD_TELEMETRY_QUERIES", 32);
-  const std::uint64_t seed = core::env::u64_or("RTAD_TELEMETRY_SEED", 2026);
+  const std::size_t samples = kSamples;
+  const std::uint64_t seed = kSeed;
   if (tenants <= kHotTenants + kWarmTenants) {
     std::cerr << "telemetry_query: need more tenants than the planted "
                  "cohorts\n";
@@ -153,6 +140,7 @@ int main() {
   if (!core::env::raw("RTAD_TELEMETRY_CAP_KB")) {
     store_cfg.cap_bytes = 32ull * 1024 * 1024;
   }
+  std::cout << "TELEMETRY RING STORE + RANKED ANOMALY QUERY ENGINE\n\n";
 
   std::cout << "Streams: " << tenants << " tenants x " << samples
             << " samples (" << tenants * samples << " total), page "
@@ -249,7 +237,7 @@ int main() {
     if (qi == 0) {
       // Latency distribution + byte-determinism over repeats.
       const std::uint64_t first = rank_digest(ranked);
-      for (std::size_t rep = 1; rep < query_reps; ++rep) {
+      for (std::size_t rep = 1; rep < kQueryReps; ++rep) {
         const auto t_r = std::chrono::steady_clock::now();
         const auto again = telemetry::rank_tenants(store, queries[qi].query);
         rank_ms.record(wall_ms(t_r));
@@ -325,13 +313,8 @@ int main() {
             << rank_ms.count() << " evaluations\n";
 
   // --- JSON artifact: deterministic core + explicitly host-dependent
-  // "host" object (CI strips "host" before comparing across modes) ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_TELEMETRY_BENCH_JSON", "BENCH_telemetry.json");
-  {
-    std::ofstream js(json_path);
-    obs::JsonWriter json(js);
-    json.begin_object();
+  // "host" object (tools/smoke.sh strips it before comparing modes) ---
+  const auto body = [&](obs::JsonWriter& json) {
     json.field("schema", "rtad.telemetry.bench.v1");
     json.field("tenants", static_cast<std::uint64_t>(tenants));
     json.field("samples_per_tenant", static_cast<std::uint64_t>(samples));
@@ -380,9 +363,10 @@ int main() {
     json.field("hot_outranks_warm", recency_ok);
     json.field("repeat_deterministic", repeat_deterministic);
     json.end_object();
-    // Host-dependent measurements — everything above this key is
-    // byte-identical across RTAD_SCHED / RTAD_JOBS / RTAD_BACKEND.
-    json.key("host").begin_object();
+  };
+  // Host-dependent measurements — everything outside this object is
+  // byte-identical across RTAD_SCHED / RTAD_JOBS / RTAD_BACKEND.
+  const auto host = [&](obs::JsonWriter& json) {
     json.field("synthesis_ms", gen_ms);
     json.field("ingest_ms", ingest_ms);
     json.field("ingest_samples_per_s", ingest_rate);
@@ -390,11 +374,8 @@ int main() {
     json.field("rank_ms_p95", rank_ms.percentile(95.0));
     json.field("rank_evaluations",
                static_cast<std::uint64_t>(rank_ms.count()));
-    json.end_object();
-    json.end_object();
-    js << '\n';
-  }
-  std::cerr << "telemetry_query: wrote " << json_path << "\n";
+  };
+  bench::write_json("telemetry_query", "BENCH_telemetry.json", body, host);
 
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
@@ -402,3 +383,7 @@ int main() {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run("telemetry_query", run); }

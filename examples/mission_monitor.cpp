@@ -73,8 +73,8 @@ int main() {
             << soc.host_cpu().program_instructions() << "\n"
             << "  attacks launched    : " << launched << "\n"
             << "  attacks counteracted: " << counteracted << "\n"
-            << "  trace bytes handled : " << soc.ptm().bytes_generated()
-            << "\n"
+            << "  trace bytes handled : "
+            << soc.trace_source().bytes_generated() << "\n"
             << "  inferences executed : " << soc.mcm().inferences_completed()
             << "\n";
   return counteracted >= 3 ? 0 : 1;

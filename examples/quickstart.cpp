@@ -35,7 +35,7 @@ int main() {
                "branch traces...\n";
   soc.run_while([&] { return soc.mcm().inferences_completed() < 12; },
                 500 * sim::kPsPerMs);
-  std::cout << "      " << soc.ptm().bytes_generated()
+  std::cout << "      " << soc.trace_source().bytes_generated()
             << " trace bytes emitted, " << soc.igm().vectors_out()
             << " vectors generated, " << soc.mcm().inferences_completed()
             << " inferences done\n";

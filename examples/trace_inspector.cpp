@@ -8,9 +8,8 @@
 #include <iomanip>
 #include <iostream>
 
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/core/report.hpp"
-#include "rtad/igm/pft_decoder.hpp"
+#include "rtad/trace/pft.hpp"
 #include "rtad/workloads/trace_generator.hpp"
 
 using namespace rtad;
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
 
   // Encode.
   workloads::TraceGenerator gen(profile, 7);
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(profile.code_base, 1, bytes);
   std::size_t waypoints = 0, conditionals = 0, syscalls = 0;
@@ -47,10 +46,10 @@ int main(int argc, char** argv) {
   enc.flush_atoms(bytes);
 
   // Decode + verify while counting packets.
-  igm::PftStreamDecoder dec;
+  trace::PftStreamDecoder dec;
   std::size_t decoded_branches = 0;
   for (const auto b : bytes) {
-    if (dec.feed(coresight::TraceByte{b, 0, 0, false})) ++decoded_branches;
+    if (dec.feed(trace::TraceByte{b, 0, 0, false})) ++decoded_branches;
   }
 
   std::cout << "Stream: " << bytes.size() << " bytes for "
@@ -80,24 +79,24 @@ int main(int argc, char** argv) {
 
   // Annotated dump of the first packets.
   std::cout << "First packets:\n";
-  igm::PftStreamDecoder dump_dec;
+  trace::PftStreamDecoder dump_dec;
   std::size_t shown = 0;
   for (std::size_t i = 0; i < bytes.size() && shown < 18; ++i) {
-    const auto type = coresight::classify_header(bytes[i]);
+    const auto type = trace::classify_header(bytes[i]);
     std::cout << "  +" << std::setw(3) << i << "  0x" << std::hex
               << std::setw(2) << std::setfill('0')
               << static_cast<int>(bytes[i]) << std::dec << std::setfill(' ');
-    if (auto d = dump_dec.feed(coresight::TraceByte{bytes[i], 0, 0, false})) {
+    if (auto d = dump_dec.feed(trace::TraceByte{bytes[i], 0, 0, false})) {
       std::cout << "  -> branch target 0x" << std::hex << d->address
                 << std::dec << (d->is_syscall ? " (syscall)" : "");
       ++shown;
     } else {
       switch (type) {
-        case coresight::PacketType::kAsync: std::cout << "  async/sync run"; break;
-        case coresight::PacketType::kIsync: std::cout << "  i-sync"; break;
-        case coresight::PacketType::kContextId: std::cout << "  context-id"; break;
-        case coresight::PacketType::kAtom: std::cout << "  atom packet"; break;
-        case coresight::PacketType::kBranchAddress:
+        case trace::PacketType::kAsync: std::cout << "  async/sync run"; break;
+        case trace::PacketType::kIsync: std::cout << "  i-sync"; break;
+        case trace::PacketType::kContextId: std::cout << "  context-id"; break;
+        case trace::PacketType::kAtom: std::cout << "  atom packet"; break;
+        case trace::PacketType::kBranchAddress:
           std::cout << "  branch-address byte";
           break;
       }

@@ -122,8 +122,8 @@ void DetectionSession::on_inference(const mcm::InferenceRecord& rec) {
   std::uint32_t score_bits;
   std::memcpy(&score_bits, &rec.score, sizeof(score_bits));
   for (int shift = 0; shift < 32; shift += 8) {
-    score_digest_ ^= (score_bits >> shift) & 0xFFu;
-    score_digest_ *= 1099511628211ULL;
+    score_digest_ = blob::fnv1a_step(
+        score_digest_, static_cast<std::uint8_t>(score_bits >> shift));
   }
 
   // Ensemble consensus: member states always track the stream (they are
@@ -518,8 +518,8 @@ void DetectionSession::finalize() {
   // export only serializes them for non-PFT runs, keeping the default
   // export schema byte-identical.
   result_.trace_protocol = soc_->config().trace_proto;
-  result_.trace_bytes_generated = soc_->ptm().bytes_generated();
-  result_.trace_events_traced = soc_->ptm().events_traced();
+  result_.trace_bytes_generated = soc_->trace_source().bytes_generated();
+  result_.trace_events_traced = soc_->trace_source().events_traced();
   result_.decode_bytes_consumed = ta.decoder().bytes_consumed();
   result_.decode_branches = ta.decoder().branches_decoded();
   result_.igm_busy_cycles = soc_->igm().busy_cycles();

@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "rtad/core/blob_codec.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/session_checkpoint.hpp"
 #include "rtad/ml/lstm.hpp"
@@ -214,7 +215,7 @@ class DetectionSession {
   std::uint64_t false_positives_ = 0;
   std::uint64_t anomaly_flags_ = 0;
   float last_score_ = 0.0f;  ///< latest InferenceRecord score (poll only)
-  std::uint64_t score_digest_ = 14695981039346656037ULL;  ///< FNV-1a basis
+  std::uint64_t score_digest_ = blob::kFnvBasis;
   sim::Sampler latency_us_;
 
   // Rolling ensemble (members_ empty when no ensemble is attached).

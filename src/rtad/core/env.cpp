@@ -21,6 +21,16 @@ bool leading_space(const std::string& v) {
   return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) != 0;
 }
 
+void check_choice(const char* name, const std::string& value,
+                  std::initializer_list<const char*> allowed) {
+  std::string expected = "one of";
+  for (const char* a : allowed) {
+    if (value == a) return;
+    expected += std::string(" '") + a + "'";
+  }
+  reject(name, value, expected);
+}
+
 }  // namespace
 
 std::optional<std::string> raw(const char* name) {
@@ -60,19 +70,23 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(parsed);
 }
 
-double number_or(const char* name, double fallback, double lo, double hi) {
-  const auto v = raw(name);
-  if (!v) return fallback;
+double number(const char* name, const std::string& value, double lo,
+              double hi) {
   errno = 0;
   char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
-      parsed < lo || parsed > hi) {
-    reject(name, *v,
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (leading_space(value) || errno != 0 || end == value.c_str() ||
+      *end != '\0' || parsed < lo || parsed > hi) {
+    reject(name, value,
            "a number in [" + std::to_string(lo) + ", " + std::to_string(hi) +
                "]");
   }
   return parsed;
+}
+
+double number_or(const char* name, double fallback, double lo, double hi) {
+  const auto v = raw(name);
+  return v ? number(name, *v, lo, hi) : fallback;
 }
 
 std::string choice_or(const char* name,
@@ -80,12 +94,8 @@ std::string choice_or(const char* name,
                       const char* fallback) {
   const auto v = raw(name);
   if (!v) return fallback;
-  std::string expected = "one of";
-  for (const char* a : allowed) {
-    if (*v == a) return *v;
-    expected += std::string(" '") + a + "'";
-  }
-  reject(name, *v, expected);
+  check_choice(name, *v, allowed);
+  return *v;
 }
 
 bool flag_or(const char* name, bool fallback) {
@@ -94,6 +104,23 @@ bool flag_or(const char* name, bool fallback) {
   if (*v == "0") return false;
   if (*v == "1") return true;
   reject(name, *v, "'0' or '1'");
+}
+
+std::vector<std::string> list_or(const char* name,
+                                 std::vector<std::string> fallback,
+                                 std::initializer_list<const char*> allowed) {
+  const auto v = raw(name);
+  if (!v) return fallback;
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = v->find(',', begin);
+    items.push_back(v->substr(begin, comma - begin));
+    if (items.back().empty()) reject(name, *v, "a list of non-empty items");
+    if (allowed.size() != 0) check_choice(name, items.back(), allowed);
+    if (comma == std::string::npos) return items;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace rtad::core::env

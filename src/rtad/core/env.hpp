@@ -24,13 +24,14 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace rtad::core::env {
 
 /// Raw value of `name`; nullopt when unset or set to the empty string.
 std::optional<std::string> raw(const char* name);
 
-/// Free-form string knob (paths, CSV lists); no validation beyond the
+/// Free-form string knob (paths); no validation beyond the
 /// empty-means-unset rule.
 std::string string_or(const char* name, std::string fallback);
 
@@ -46,6 +47,9 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback);
 /// out-of-range values.
 double number_or(const char* name, double fallback, double lo, double hi);
 
+/// number_or's grammar applied to one value of knob `name` (a list item).
+double number(const char* name, const std::string& value, double lo, double hi);
+
 /// Enumerated knob: the value must equal one of `allowed` exactly. Throws
 /// with a message listing the accepted spellings.
 std::string choice_or(const char* name,
@@ -54,5 +58,12 @@ std::string choice_or(const char* name,
 
 /// Boolean knob: "0"/"1" only. Throws on anything else.
 bool flag_or(const char* name, bool fallback);
+
+/// Comma-separated list knob, items in order. Every item must be
+/// non-empty ("a,,b", "a," and ",a" throw) and, when `allowed` is given,
+/// equal one of its spellings.
+std::vector<std::string> list_or(
+    const char* name, std::vector<std::string> fallback,
+    std::initializer_list<const char*> allowed = {});
 
 }  // namespace rtad::core::env

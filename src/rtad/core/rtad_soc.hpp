@@ -14,8 +14,8 @@
 
 #include "rtad/attack/injector.hpp"
 #include "rtad/core/config.hpp"
-#include "rtad/coresight/ptm.hpp"
 #include "rtad/coresight/tpiu.hpp"
+#include "rtad/coresight/trace_source.hpp"
 #include "rtad/cpu/host_cpu.hpp"
 #include "rtad/fault/fault_injector.hpp"
 #include "rtad/gpgpu/gpu.hpp"
@@ -43,9 +43,7 @@ class RtadSoc {
   // --- module access ---
   sim::Simulator& simulator() noexcept { return sim_; }
   cpu::HostCpu& host_cpu() noexcept { return *cpu_; }
-  coresight::TraceSource& trace_source() noexcept { return *ptm_; }
-  /// Back-compat spelling from when the trace source was always a PFT PTM.
-  coresight::Ptm& ptm() noexcept { return *ptm_; }
+  coresight::TraceSource& trace_source() noexcept { return *trace_source_; }
   coresight::Tpiu& tpiu() noexcept { return *tpiu_; }
   igm::Igm& igm() noexcept { return *igm_; }
   mcm::Mcm& mcm() noexcept { return *mcm_; }
@@ -85,7 +83,7 @@ class RtadSoc {
   std::unique_ptr<workloads::TraceGenerator> generator_;
   std::unique_ptr<cpu::GeneratorSource> generator_source_;
   std::unique_ptr<attack::AttackInjector> injector_;
-  std::unique_ptr<coresight::Ptm> ptm_;
+  std::unique_ptr<coresight::TraceSource> trace_source_;
   std::unique_ptr<coresight::Tpiu> tpiu_;
   std::unique_ptr<cpu::HostCpu> cpu_;
   std::unique_ptr<igm::Igm> igm_;

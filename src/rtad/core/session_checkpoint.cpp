@@ -2,108 +2,14 @@
 
 #include <cstring>
 
+#include "rtad/core/blob_codec.hpp"
+
 namespace rtad::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int s = 0; s < 64; s += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-
-  std::vector<std::uint8_t> finish() && {
-    const std::uint64_t digest = fnv1a(bytes_.data(), bytes_.size());
-    u64(digest);
-    return std::move(bytes_);
-  }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int s = 0; s < 32; s += 8) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << s;
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int s = 0; s < 64; s += 8) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << s;
-    }
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::size_t pos() const noexcept { return pos_; }
-  std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw CheckpointError("SessionCheckpoint: truncated blob");
-    }
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using blob::Writer;
+using Reader = blob::Reader<CheckpointError>;
 
 void write_fault_plan(Writer& w, const fault::FaultPlan& plan) {
   for (const double r : plan.rates) w.f64(r);
@@ -207,18 +113,11 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
     throw CheckpointError("SessionCheckpoint: blob too short");
   }
   // Digest covers everything before its own 8 bytes.
-  const std::uint64_t recorded = [&] {
-    std::uint64_t v = 0;
-    for (int s = 0; s < 64; s += 8) {
-      v |= static_cast<std::uint64_t>(data[size - 8 + s / 8]) << s;
-    }
-    return v;
-  }();
-  if (fnv1a(data, size - 8) != recorded) {
+  if (!blob::digest_matches(data, size)) {
     throw CheckpointError("SessionCheckpoint: digest mismatch");
   }
 
-  Reader r(data, size - 8);
+  Reader r(data, size - 8, "SessionCheckpoint: truncated blob");
   char magic[9] = {};
   for (std::size_t i = 0; i < 8; ++i) {
     magic[i] = static_cast<char>(r.u8());

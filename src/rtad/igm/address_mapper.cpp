@@ -10,7 +10,7 @@ void AddressMapper::clear() {
   filtered_ = 0;
 }
 
-bool AddressMapper::passes(const DecodedBranch& branch) const noexcept {
+bool AddressMapper::passes(const trace::DecodedBranch& branch) const noexcept {
   if (pass_all_) return true;
   if (exact_.contains(branch.address)) return true;
   for (const auto& r : ranges_) {

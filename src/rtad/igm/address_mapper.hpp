@@ -22,7 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "rtad/igm/branch.hpp"
+#include "rtad/trace/stream.hpp"
 
 namespace rtad::igm {
 
@@ -43,7 +43,7 @@ class AddressMapper {
   }
   void clear();
 
-  bool passes(const DecodedBranch& branch) const noexcept;
+  bool passes(const trace::DecodedBranch& branch) const noexcept;
 
   std::uint64_t accepted() const noexcept { return accepted_; }
   std::uint64_t filtered() const noexcept { return filtered_; }

@@ -52,7 +52,7 @@ void Igm::tick() {
   }
   // IVG stage: consume one address produced by the P2S last cycle.
   if (!p2s_.out().empty() && !out_.full()) {
-    const DecodedBranch branch = *p2s_.out().pop();
+    const trace::DecodedBranch branch = *p2s_.out().pop();
     const bool pass = mapper_.passes(branch);
     mapper_.note(pass);
     if (pass) {

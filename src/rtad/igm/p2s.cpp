@@ -2,7 +2,7 @@
 
 namespace rtad::igm {
 
-P2s::P2s(sim::Fifo<DecodedBranch>& in, std::size_t out_capacity)
+P2s::P2s(sim::Fifo<trace::DecodedBranch>& in, std::size_t out_capacity)
     : sim::Component("p2s"), in_(in), out_(out_capacity) {}
 
 void P2s::reset() {

@@ -5,18 +5,19 @@
 // buffers the burst and serializes it (§III-A).
 #pragma once
 
-#include "rtad/igm/branch.hpp"
 #include "rtad/sim/component.hpp"
 #include "rtad/sim/fifo.hpp"
+#include "rtad/trace/stream.hpp"
 
 namespace rtad::igm {
 
 class P2s final : public sim::Component {
  public:
-  explicit P2s(sim::Fifo<DecodedBranch>& in, std::size_t out_capacity = 8);
+  explicit P2s(sim::Fifo<trace::DecodedBranch>& in,
+               std::size_t out_capacity = 8);
 
-  sim::Fifo<DecodedBranch>& out() noexcept { return out_; }
-  const sim::Fifo<DecodedBranch>& out() const noexcept { return out_; }
+  sim::Fifo<trace::DecodedBranch>& out() noexcept { return out_; }
+  const sim::Fifo<trace::DecodedBranch>& out() const noexcept { return out_; }
 
   void tick() override;
   void reset() override;
@@ -31,8 +32,8 @@ class P2s final : public sim::Component {
   std::uint64_t forwarded() const noexcept { return forwarded_; }
 
  private:
-  sim::Fifo<DecodedBranch>& in_;
-  sim::Fifo<DecodedBranch> out_;
+  sim::Fifo<trace::DecodedBranch>& in_;
+  sim::Fifo<trace::DecodedBranch> out_;
   std::uint64_t forwarded_ = 0;
 };
 

@@ -17,11 +17,11 @@
 #include <memory>
 
 #include "rtad/coresight/tpiu.hpp"
-#include "rtad/igm/branch.hpp"
 #include "rtad/sim/component.hpp"
 #include "rtad/sim/fifo.hpp"
 #include "rtad/trace/decoder.hpp"
 #include "rtad/trace/protocol.hpp"
+#include "rtad/trace/stream.hpp"
 
 namespace rtad::igm {
 
@@ -39,8 +39,8 @@ class TraceAnalyzer final : public sim::Component {
                 OverflowPolicy overflow = OverflowPolicy::kStall,
                 trace::TraceProtocol proto = trace::TraceProtocol::kPft);
 
-  sim::Fifo<DecodedBranch>& out() noexcept { return out_; }
-  const sim::Fifo<DecodedBranch>& out() const noexcept { return out_; }
+  sim::Fifo<trace::DecodedBranch>& out() noexcept { return out_; }
+  const sim::Fifo<trace::DecodedBranch>& out() const noexcept { return out_; }
 
   void tick() override;
   void reset() override;
@@ -67,7 +67,7 @@ class TraceAnalyzer final : public sim::Component {
  private:
   sim::Fifo<coresight::TpiuWord>& port_;
   std::unique_ptr<trace::TraceDecoder> decoder_;
-  sim::Fifo<DecodedBranch> out_;
+  sim::Fifo<trace::DecodedBranch> out_;
   std::uint32_t width_;
   OverflowPolicy overflow_;
 

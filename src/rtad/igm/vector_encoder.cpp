@@ -43,7 +43,8 @@ std::uint32_t VectorEncoder::token_for(std::uint64_t address) const noexcept {
   return config_.vocab_size - 1;  // reserved "unknown" bucket
 }
 
-bool VectorEncoder::encode(const DecodedBranch& branch, InputVector& out) {
+bool VectorEncoder::encode(const trace::DecodedBranch& branch,
+                           InputVector& out) {
   const std::uint32_t token = token_for(branch.address);
   ++vectors_emitted_;
 

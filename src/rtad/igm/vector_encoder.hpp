@@ -16,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rtad/igm/branch.hpp"
 #include "rtad/sim/time.hpp"
+#include "rtad/trace/stream.hpp"
 
 namespace rtad::igm {
 
@@ -51,7 +51,7 @@ class VectorEncoder {
 
   /// Encode one accepted branch. Returns true and fills `out` when a vector
   /// is emitted (every event for both current encodings).
-  bool encode(const DecodedBranch& branch, InputVector& out);
+  bool encode(const trace::DecodedBranch& branch, InputVector& out);
 
   /// The token a given address maps to (fallback hashing included).
   std::uint32_t token_for(std::uint64_t address) const noexcept;

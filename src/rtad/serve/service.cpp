@@ -26,45 +26,20 @@ const char* fleet_protocol_name(FleetProtocol proto) noexcept {
 
 ServiceConfig ServiceConfig::from_env() {
   ServiceConfig cfg;
-  cfg.shards = core::env::positive_or("RTAD_SERVE_SHARDS", cfg.shards);
-  cfg.lanes = core::env::positive_or("RTAD_SERVE_LANES", cfg.lanes);
-  cfg.queue_capacity =
-      core::env::positive_or("RTAD_SERVE_QUEUE", cfg.queue_capacity);
   cfg.policy = core::env::choice_or("RTAD_SERVE_POLICY", {"shed", "degrade"},
                                     "shed") == "shed"
                    ? OverloadPolicy::kShed
                    : OverloadPolicy::kDegrade;
-  cfg.quantum_ps =
-      core::env::positive_or("RTAD_SERVE_QUANTUM_US", 2'000) * sim::kPsPerUs;
   cfg.retry_budget = static_cast<std::size_t>(
       core::env::u64_or("RTAD_SERVE_RETRY", cfg.retry_budget));
-  cfg.retry_base_us =
-      core::env::positive_or("RTAD_SERVE_RETRY_BASE_US", cfg.retry_base_us);
-  cfg.checkpoint_every = core::env::positive_or("RTAD_SERVE_CHECKPOINT_EVERY",
-                                                cfg.checkpoint_every);
   cfg.checkpoint_cap_kb =
       core::env::u64_or("RTAD_SERVE_CHECKPOINT_CAP_KB", cfg.checkpoint_cap_kb);
-  cfg.rebalance_gap_ps =
-      core::env::positive_or("RTAD_SERVE_REBALANCE_GAP_US", 40'000) *
-      sim::kPsPerUs;
-  cfg.migrate_ps =
-      core::env::positive_or("RTAD_SERVE_MIGRATE_US", 200) * sim::kPsPerUs;
   if (const auto& plan = fault::default_plan()) {
     cfg.serve_faults = plan->serve;
     cfg.fault_seed = plan->seed;
   }
   cfg.telemetry = telemetry::StoreConfig::from_env();
   cfg.ensemble = ensemble::params_from_env();
-  const std::string proto = core::env::choice_or(
-      "RTAD_SERVE_PROTO", {"pft", "etrace", "mixed"},
-      fleet_protocol_name(cfg.proto));
-  if (proto == "pft") {
-    cfg.proto = FleetProtocol::kPft;
-  } else if (proto == "etrace") {
-    cfg.proto = FleetProtocol::kEtrace;
-  } else {
-    cfg.proto = FleetProtocol::kMixed;
-  }
   return cfg;
 }
 

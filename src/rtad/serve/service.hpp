@@ -21,20 +21,9 @@
 // across RTAD_JOBS and both scheduler kernels.
 //
 // Knobs (all parsed through core::env — malformed values throw):
-//   RTAD_SERVE_SHARDS      fleet width                     (default 2)
-//   RTAD_SERVE_LANES       SoC lanes per shard             (default 2)
-//   RTAD_SERVE_QUEUE       ingress queue capacity          (default 8)
 //   RTAD_SERVE_POLICY      overload policy: shed|degrade   (default shed)
-//   RTAD_SERVE_QUANTUM_US  advance() slice, simulated us   (default 2000)
-//   RTAD_SERVE_PROTO       fleet trace protocol: pft|etrace|mixed
-//                          (default: the process RTAD_TRACE_PROTO)
 //   RTAD_SERVE_RETRY            re-offer budget per refused request (0)
-//   RTAD_SERVE_RETRY_BASE_US    retry backoff base, simulated us  (500)
-//   RTAD_SERVE_CHECKPOINT_EVERY quanta between periodic blobs       (8)
 //   RTAD_SERVE_CHECKPOINT_CAP_KB  parked-blob byte cap, KiB; 0 = off (0)
-//   RTAD_SERVE_REBALANCE_GAP_US hot/cool horizon gap that triggers a
-//                               parked-session migration          (40000)
-//   RTAD_SERVE_MIGRATE_US       simulated cost of moving one blob   (200)
 //   RTAD_TELEMETRY              telemetry spill file (see telemetry/)
 //   RTAD_TELEMETRY_CAP_KB       telemetry resident byte cap, KiB  (0=off)
 //   RTAD_TELEMETRY_PAGE         tier-0 samples per telemetry page   (64)
@@ -117,8 +106,10 @@ struct ServiceConfig {
   /// origin arrival, anchoring the retrain cadence to the fleet clock.
   core::EnsembleParams ensemble{};
 
-  /// Resolve the RTAD_SERVE_* knobs (strict grammar; throws on malformed
-  /// values). Unset knobs keep the defaults above.
+  /// Resolve the RTAD_SERVE_{POLICY,RETRY,CHECKPOINT_CAP_KB} knobs
+  /// plus the serve.* RTAD_FAULTS keys, RTAD_TELEMETRY* and RTAD_ENSEMBLE_*
+  /// (strict grammar; throws on malformed values). Every other field keeps
+  /// the default above; set it in code.
   static ServiceConfig from_env();
 };
 

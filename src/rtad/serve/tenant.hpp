@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 
+#include "rtad/core/blob_codec.hpp"
 #include "rtad/core/config.hpp"
 #include "rtad/sim/time.hpp"
 #include "rtad/trace/protocol.hpp"
@@ -69,12 +70,7 @@ struct SessionRequest {
 /// FNV-1a over the tenant name (the same construction as the score digest:
 /// stable across platforms, unlike std::hash).
 constexpr std::uint64_t tenant_hash(std::string_view tenant) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : tenant) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return core::blob::fnv1a(tenant);
 }
 
 /// Stable tenant → shard routing.

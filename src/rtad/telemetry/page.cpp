@@ -1,120 +1,18 @@
 #include "rtad/telemetry/page.hpp"
 
 #include <algorithm>
-#include <cstring>
+
+#include "rtad/core/blob_codec.hpp"
 
 namespace rtad::telemetry {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+using core::blob::Writer;
+using Reader = core::blob::Reader<TelemetryError>;
 
 constexpr std::size_t kSampleBytes = 8 + 8 + 1 + 4;  ///< at/score/flag/health
 constexpr std::size_t kBinBytes = 8 * 8;  ///< 6 u64/f64 + flagged + health
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int s = 0; s < 64; s += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-  /// Patch a u32 written earlier (the total_bytes slot).
-  void patch_u32(std::size_t at, std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) {
-      bytes_[at + static_cast<std::size_t>(s / 8)] =
-          static_cast<std::uint8_t>(v >> s);
-    }
-  }
-  std::size_t size() const noexcept { return bytes_.size(); }
-
-  std::vector<std::uint8_t> finish() && {
-    const std::uint64_t digest = fnv1a(bytes_.data(), bytes_.size());
-    u64(digest);
-    return std::move(bytes_);
-  }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int s = 0; s < 32; s += 8) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << s;
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int s = 0; s < 64; s += 8) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << s;
-    }
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw TelemetryError("telemetry::Page: truncated page");
-    }
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -200,18 +98,11 @@ Page Page::parse(const std::uint8_t* data, std::size_t size) {
   }
   // Digest covers everything before its own 8 bytes — verified first, so a
   // bit flip anywhere is caught before any field is believed.
-  const std::uint64_t recorded = [&] {
-    std::uint64_t v = 0;
-    for (int s = 0; s < 64; s += 8) {
-      v |= static_cast<std::uint64_t>(data[size - 8 + s / 8]) << s;
-    }
-    return v;
-  }();
-  if (fnv1a(data, size - 8) != recorded) {
+  if (!core::blob::digest_matches(data, size)) {
     throw TelemetryError("telemetry::Page: digest mismatch");
   }
 
-  Reader r(data, size - 8);
+  Reader r(data, size - 8, "telemetry::Page: truncated page");
   for (std::size_t i = 0; i < 8; ++i) {
     if (r.u8() != static_cast<std::uint8_t>(kPageMagic[i])) {
       throw TelemetryError("telemetry::Page: bad magic/version");
@@ -267,10 +158,8 @@ std::vector<Page> parse_spill(const std::vector<std::uint8_t>& bytes) {
     }
     // total_bytes sits at a fixed offset (magic + tier), which is what
     // makes the spill self-delimiting before the digest is checked.
-    std::uint32_t total = 0;
-    for (int s = 0; s < 32; s += 8) {
-      total |= static_cast<std::uint32_t>(bytes[pos + 9 + s / 8]) << s;
-    }
+    const auto total =
+        core::blob::load_le<std::uint32_t>(bytes.data() + pos + 9);
     if (total < 16 || total > bytes.size() - pos) {
       throw TelemetryError("telemetry::parse_spill: bad page length");
     }

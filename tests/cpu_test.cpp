@@ -1,7 +1,7 @@
 // Host CPU model + instrumentation cost tests.
 #include <gtest/gtest.h>
 
-#include "rtad/coresight/ptm.hpp"
+#include "rtad/coresight/trace_source.hpp"
 #include "rtad/cpu/host_cpu.hpp"
 #include "rtad/cpu/instrumentation.hpp"
 #include "rtad/workloads/spec_model.hpp"
@@ -65,9 +65,9 @@ TEST(Instrumentation, RtadResidualIsTiny) {
 }
 
 TEST(Instrumentation, OnlyRtadUsesPtm) {
-  EXPECT_TRUE(uses_ptm(InstrumentationMode::kRtad));
-  EXPECT_FALSE(uses_ptm(InstrumentationMode::kBaseline));
-  EXPECT_FALSE(uses_ptm(InstrumentationMode::kSwAll));
+  EXPECT_TRUE(uses_hw_trace(InstrumentationMode::kRtad));
+  EXPECT_FALSE(uses_hw_trace(InstrumentationMode::kBaseline));
+  EXPECT_FALSE(uses_hw_trace(InstrumentationMode::kSwAll));
 }
 
 TEST(HostCpu, RetiresOneInstructionPerCycleBaseline) {
@@ -100,7 +100,7 @@ TEST(HostCpu, InstrumentationStallsProgramProgress) {
 TEST(HostCpu, FeedsPtmOnlyInRtadMode) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::Ptm ptm(coresight::PtmConfig{});
+  coresight::TraceSource ptm(coresight::TraceSourceConfig{});
   HostCpuConfig cfg;
   cfg.mode = InstrumentationMode::kRtad;
   HostCpu cpu(cfg, src, &ptm);
@@ -110,7 +110,7 @@ TEST(HostCpu, FeedsPtmOnlyInRtadMode) {
 
   workloads::TraceGenerator gen2(test_profile(), 1);
   GeneratorSource src2(gen2);
-  coresight::Ptm ptm2(coresight::PtmConfig{});
+  coresight::TraceSource ptm2(coresight::TraceSourceConfig{});
   cfg.mode = InstrumentationMode::kSwAll;
   HostCpu cpu2(cfg, src2, &ptm2);
   for (int i = 0; i < 5'000; ++i) cpu2.tick();
@@ -120,9 +120,9 @@ TEST(HostCpu, FeedsPtmOnlyInRtadMode) {
 TEST(HostCpu, EventTimestampsMatchLocalClock) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::PtmConfig pcfg;
+  coresight::TraceSourceConfig pcfg;
   pcfg.flush_threshold = 1;
-  coresight::Ptm ptm(pcfg);
+  coresight::TraceSource ptm(pcfg);
   HostCpuConfig cfg;
   HostCpu cpu(cfg, src, &ptm);
   for (int i = 0; i < 1'000; ++i) {
@@ -164,10 +164,10 @@ TEST(HostCpu, ResetClearsState) {
 TEST(HostCpu, SequenceNumbersAreMonotonic) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::PtmConfig pcfg;
+  coresight::TraceSourceConfig pcfg;
   pcfg.flush_threshold = 1;
   pcfg.fifo_bytes = 4096;
-  coresight::Ptm ptm(pcfg);
+  coresight::TraceSource ptm(pcfg);
   HostCpu cpu(HostCpuConfig{}, src, &ptm);
   for (int i = 0; i < 2'000; ++i) {
     cpu.tick();

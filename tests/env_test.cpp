@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rtad/core/env.hpp"
 
@@ -96,6 +97,42 @@ TEST_F(EnvTest, FlagOrIsZeroOrOne) {
   for (const char* bad : {"true", "yes", "2"}) {
     set(bad);
     EXPECT_THROW(flag_or(kVar, false), std::invalid_argument) << bad;
+  }
+}
+
+TEST_F(EnvTest, ListOrSplitsOnCommas) {
+  EXPECT_EQ(list_or(kVar, {"fb"}), std::vector<std::string>{"fb"});
+  set("");
+  EXPECT_EQ(list_or(kVar, {"fb"}), std::vector<std::string>{"fb"});
+  set("astar");
+  EXPECT_EQ(list_or(kVar, {}), std::vector<std::string>{"astar"});
+  set("gcc,mcf,astar");
+  EXPECT_EQ(list_or(kVar, {}),
+            (std::vector<std::string>{"gcc", "mcf", "astar"}));
+}
+
+TEST_F(EnvTest, ListOrRejectsEmptyItems) {
+  for (const char* bad : {",", "a,,b", "a,", ",a"}) {
+    set(bad);
+    EXPECT_THROW(list_or(kVar, {}), std::invalid_argument) << bad;
+  }
+}
+
+TEST_F(EnvTest, ListOrRejectsMalformedItems) {
+  set("elm,lstm");
+  EXPECT_EQ(list_or(kVar, {}, {"elm", "lstm"}),
+            (std::vector<std::string>{"elm", "lstm"}));
+  for (const char* bad : {"elm,lsmt", "ELM", "elm ,lstm", "lstm,elm "}) {
+    set(bad);
+    EXPECT_THROW(list_or(kVar, {}, {"elm", "lstm"}), std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST_F(EnvTest, NumberItemsRejectTrailingGarbage) {
+  EXPECT_EQ(number(kVar, "0.02", 0.0, 0.1), 0.02);
+  for (const char* bad : {"0.02x", "abc", "", " 0.1", "0.1 ", "0.5"}) {
+    EXPECT_THROW(number(kVar, bad, 0.0, 0.1), std::invalid_argument) << bad;
   }
 }
 

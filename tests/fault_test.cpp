@@ -10,13 +10,12 @@
 
 #include "rtad/bus/interconnect.hpp"
 #include "rtad/bus/memory.hpp"
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/coresight/tpiu.hpp"
 #include "rtad/fault/fault_injector.hpp"
-#include "rtad/igm/pft_decoder.hpp"
 #include "rtad/mcm/mcm.hpp"
 #include "rtad/ml/kernels.hpp"
 #include "rtad/sim/fifo.hpp"
+#include "rtad/trace/pft.hpp"
 
 namespace rtad::fault {
 namespace {
@@ -214,12 +213,12 @@ TEST(FifoDropPolicy, ResetStatsKeepsWatermarkAtOccupancy) {
 
 // ------------------------------------------------- PFT decoder recovery
 
-coresight::TraceByte tb(std::uint8_t value) {
-  return coresight::TraceByte{value, 1000, 0, false};
+trace::TraceByte tb(std::uint8_t value) {
+  return trace::TraceByte{value, 1000, 0, false};
 }
 
 /// Feed encoder-produced bytes and count decoded branches.
-std::size_t feed_all(igm::PftStreamDecoder& dec,
+std::size_t feed_all(trace::PftStreamDecoder& dec,
                      const std::vector<std::uint8_t>& bytes) {
   std::size_t decoded = 0;
   for (const auto b : bytes) {
@@ -229,8 +228,8 @@ std::size_t feed_all(igm::PftStreamDecoder& dec,
 }
 
 TEST(PftDecoderRecovery, MalformedPacketCountsAndResyncs) {
-  igm::PftStreamDecoder dec;
-  coresight::PftEncoder enc;
+  trace::PftStreamDecoder dec;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
   EXPECT_EQ(feed_all(dec, bytes), 0u);
@@ -247,8 +246,8 @@ TEST(PftDecoderRecovery, MalformedPacketCountsAndResyncs) {
 }
 
 TEST(PftDecoderRecovery, ResyncRoundTripRecoversDecoding) {
-  igm::PftStreamDecoder dec;
-  coresight::PftEncoder enc;
+  trace::PftStreamDecoder dec;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
 
@@ -276,7 +275,7 @@ TEST(PftDecoderRecovery, ResyncRoundTripRecoversDecoding) {
 }
 
 TEST(PftDecoderRecovery, GarbageStreamNeverThrows) {
-  igm::PftStreamDecoder dec;
+  trace::PftStreamDecoder dec;
   sim::Xoshiro256 rng(99);
   for (int i = 0; i < 50'000; ++i) {
     EXPECT_NO_THROW(
@@ -311,7 +310,7 @@ struct TpiuRig {
     return out;
   }
 
-  sim::Fifo<coresight::TraceByte> source;
+  sim::Fifo<trace::TraceByte> source;
   coresight::Tpiu tpiu;
   FaultInjector faults;
 };
@@ -363,7 +362,7 @@ TEST(TpiuFaults, TruncationWindowSwallowsRuns) {
 }
 
 TEST(TpiuFaults, CountersStayZeroWithoutInjector) {
-  sim::Fifo<coresight::TraceByte> source(64);
+  sim::Fifo<trace::TraceByte> source(64);
   coresight::Tpiu tpiu(source);
   for (int i = 0; i < 8; ++i) source.push(tb(0x42));
   for (int t = 0; t < 20; ++t) tpiu.tick();
@@ -481,7 +480,7 @@ struct McmRig {
     enc.encode(ev, bytes);
     coresight::TpiuWord w;
     for (const auto b : bytes) {
-      w.bytes[w.count] = coresight::TraceByte{b, 1000, 0, false};
+      w.bytes[w.count] = trace::TraceByte{b, 1000, 0, false};
       if (++w.count == 4) {
         tpiu_fifo.push(w);
         w = coresight::TpiuWord{};
@@ -505,7 +504,7 @@ struct McmRig {
   FaultInjector faults;
   std::unique_ptr<igm::Igm> igm;
   std::unique_ptr<mcm::Mcm> mcm;
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   bool synced = false;
 };
 

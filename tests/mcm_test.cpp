@@ -2,10 +2,10 @@
 // costs, FIFO overflow behaviour, interrupt firing.
 #include <gtest/gtest.h>
 
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/mcm/mcm.hpp"
 #include "rtad/ml/kernels.hpp"
 #include "rtad/sim/rng.hpp"
+#include "rtad/trace/pft.hpp"
 
 namespace rtad::mcm {
 namespace {
@@ -87,7 +87,7 @@ struct Harness {
     enc.encode(ev, bytes);
     coresight::TpiuWord w;
     for (const auto b : bytes) {
-      w.bytes[w.count] = coresight::TraceByte{b, 1000, 0, injected};
+      w.bytes[w.count] = trace::TraceByte{b, 1000, 0, injected};
       if (++w.count == 4) {
         tpiu_fifo.push(w);
         w = coresight::TpiuWord{};
@@ -114,7 +114,7 @@ struct Harness {
   ml::ModelImage image;
   std::unique_ptr<igm::Igm> igm;
   std::unique_ptr<Mcm> mcm;
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   bool synced = false;
 };
 

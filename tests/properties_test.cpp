@@ -3,14 +3,13 @@
 
 #include "rtad/bus/interconnect.hpp"
 #include "rtad/bus/memory.hpp"
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/gpgpu/assembler.hpp"
 #include "rtad/gpgpu/rtl_inventory.hpp"
-#include "rtad/igm/pft_decoder.hpp"
 #include "rtad/igm/vector_encoder.hpp"
 #include "rtad/ml/dataset.hpp"
 #include "rtad/sim/fifo.hpp"
 #include "rtad/sim/rng.hpp"
+#include "rtad/trace/pft.hpp"
 #include "rtad/workloads/trace_generator.hpp"
 
 namespace rtad {
@@ -22,8 +21,8 @@ class PftRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PftRoundTrip, EncodeDecodePreservesWaypoints) {
   sim::Xoshiro256 rng(GetParam());
-  coresight::PftEncoder enc;
-  igm::PftStreamDecoder dec;
+  trace::PftEncoder enc;
+  trace::PftStreamDecoder dec;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
   std::vector<std::uint64_t> expected;
@@ -54,7 +53,7 @@ TEST_P(PftRoundTrip, EncodeDecodePreservesWaypoints) {
   enc.flush_atoms(bytes);
   std::vector<std::uint64_t> decoded;
   for (const auto b : bytes) {
-    if (auto d = dec.feed(coresight::TraceByte{b, 0, 0, false})) {
+    if (auto d = dec.feed(trace::TraceByte{b, 0, 0, false})) {
       decoded.push_back(d->address);
     }
   }
@@ -139,7 +138,7 @@ TEST_P(HistogramProperty, CountsSumToWindowOccupancy) {
   sim::Xoshiro256 rng(window * 7);
   igm::InputVector out;
   for (std::uint32_t i = 0; i < 200; ++i) {
-    enc.encode(igm::DecodedBranch{rng.next() & ~1ULL, false, 0, i, false},
+    enc.encode(trace::DecodedBranch{rng.next() & ~1ULL, false, 0, i, false},
                out);
     std::uint32_t sum = 0;
     for (const auto c : out.payload) sum += c;

@@ -19,7 +19,7 @@
 # per-protocol encoder bandwidth (bytes per decoded branch).
 #
 # The speedups are computed on fig8's matrix_wall_ms (the detection matrix
-# itself): with RTAD_FIG8_FAST_TRAIN the bench pre-warms the model cache
+# itself): with RTAD_FAST_TRAIN the bench pre-warms the model cache
 # before the matrix, so model training — identical host-side work under
 # every kernel/backend — stays out of the timed region. Total process
 # walls are still recorded in the JSON for context.
@@ -51,7 +51,7 @@ export RTAD_FIG8_BENCHMARKS="${RTAD_FIG8_BENCHMARKS:-hmmer}"
 export RTAD_FIG8_MODELS="${RTAD_FIG8_MODELS:-lstm}"
 export RTAD_FIG8_ENGINES="${RTAD_FIG8_ENGINES:-miaow}"
 export RTAD_FIG8_ATTACKS="${RTAD_FIG8_ATTACKS:-8}"
-export RTAD_FIG8_FAST_TRAIN="${RTAD_FIG8_FAST_TRAIN:-1}"
+export RTAD_FAST_TRAIN="${RTAD_FAST_TRAIN:-1}"
 export RTAD_JOBS=1
 
 workdir="$(mktemp -d)"
@@ -74,7 +74,7 @@ matrix_ms() {
   sed -n 's/^fig8: matrix_wall_ms=\([0-9]*\)$/\1/p' "${workdir}/$1.err"
 }
 
-echo "perf_smoke: benchmarks=${RTAD_FIG8_BENCHMARKS} models=${RTAD_FIG8_MODELS} engines=${RTAD_FIG8_ENGINES} attacks=${RTAD_FIG8_ATTACKS} fast_train=${RTAD_FIG8_FAST_TRAIN}" >&2
+echo "perf_smoke: benchmarks=${RTAD_FIG8_BENCHMARKS} models=${RTAD_FIG8_MODELS} engines=${RTAD_FIG8_ENGINES} attacks=${RTAD_FIG8_ATTACKS} fast_train=${RTAD_FAST_TRAIN}" >&2
 dense_ms=$(run_mode dense cycle dense)
 event_ms=$(run_mode event cycle event)
 fast_ms=$(run_mode event fast fast "${BACKEND_PROBE}")
@@ -170,7 +170,7 @@ cat > "${OUT_JSON}" <<JSON
   "models": "${RTAD_FIG8_MODELS}",
   "engines": "${RTAD_FIG8_ENGINES}",
   "attacks_per_cell": ${RTAD_FIG8_ATTACKS},
-  "fast_train": ${RTAD_FIG8_FAST_TRAIN},
+  "fast_train": ${RTAD_FAST_TRAIN},
   "backend": "fast",
   "dense_wall_ms": ${dense_ms},
   "event_wall_ms": ${event_ms},
