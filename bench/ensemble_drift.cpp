@@ -43,7 +43,6 @@
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
-#include "rtad/ensemble/ensemble_manager.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/serve/service.hpp"
 #include "rtad/workloads/catalog.hpp"
@@ -120,13 +119,13 @@ int run() {
   for (const std::uint32_t size : {1u, 3u, 9u}) {
     core::EnsembleParams ep = base_params;
     ep.size = size;
-    ensemble::EnsembleManager mgr(cache, ep);
+    core::GenerationCache mgr(cache, ep);
     core::DetectionOptions o = opts;
     o.ensemble = ep;
     const auto t0 = std::chrono::steady_clock::now();
     core::DetectionSession session(
         profile, models, core::ModelKind::kElm, core::EngineKind::kMlMiaow,
-        o, &mgr.source(drift_name, core::ModelKind::kElm));
+        o, &mgr);
     // Chunked advancement — the production streaming shape; results are
     // invariant to the chunk (swaps land on advance() boundaries either
     // way), which the ensemble test suite proves.
@@ -156,13 +155,12 @@ int run() {
 
   core::EnsembleParams inert = base_params;
   inert.size = 1;
-  ensemble::EnsembleManager inert_mgr(cache, inert);
+  core::GenerationCache inert_mgr(cache, inert);
   core::DetectionOptions inert_opts = opts;
   inert_opts.ensemble = inert;
   core::DetectionSession inert_session(
       still_profile, still_models, core::ModelKind::kElm,
-      core::EngineKind::kMlMiaow, inert_opts,
-      &inert_mgr.source(base_name, core::ModelKind::kElm));
+      core::EngineKind::kMlMiaow, inert_opts, &inert_mgr);
   while (inert_session.advance(sim::Picoseconds{2} * sim::kPsPerMs)) {
   }
   const core::DetectionResult inert_result = inert_session.result();

@@ -64,7 +64,7 @@ std::string tenant_name(std::size_t t) {
   if (t < kHotTenants + kWarmTenants) {
     return "warm-" + std::to_string(t - kHotTenants);
   }
-  char buf[24];
+  char buf[32];  // "tenant-" + up to 20 digits of a 64-bit size_t + NUL
   std::snprintf(buf, sizeof(buf), "tenant-%07zu", t);
   return buf;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 
 #include "rtad/core/metrics_export.hpp"
@@ -26,10 +25,10 @@ DetectionSession::DetectionSession(const workloads::SpecProfile& profile,
                                    const TrainedModels& models,
                                    ModelKind model, EngineKind engine,
                                    DetectionOptions options,
-                                   EnsembleSource* ensemble)
+                                   GenerationCache* generations)
     : options_(std::move(options)),
       model_(model),
-      ensemble_source_(ensemble) {
+      quorum_(options_.ensemble, model, profile.name, models, generations) {
   workloads::SpecProfile run_profile = profile;
   if (model == ModelKind::kElm) {
     run_profile.syscall_interval_instrs =
@@ -86,33 +85,6 @@ DetectionSession::DetectionSession(const workloads::SpecProfile& profile,
   // Warm up: let the window/state fill and the engine settle.
   warm_target_ = model == ModelKind::kElm ? 48 : 12;
   phase_deadline_ = 600 * sim::kPsPerMs;
-
-  // Seat the initial member set: the `size` most recent generations as of
-  // session time 0. generation(0) is the anchor — the very models the
-  // device image was compiled from.
-  if (options_.ensemble.active()) {
-    if (ensemble_source_ == nullptr) {
-      throw std::invalid_argument(
-          "DetectionSession: active ensemble options require an "
-          "EnsembleSource");
-    }
-    gen_hi_ = options_.ensemble.generation_at(0);
-    const std::uint32_t lo =
-        gen_hi_ + 1 >= options_.ensemble.size
-            ? gen_hi_ + 1 - options_.ensemble.size
-            : 0;
-    for (std::uint32_t gen = lo; gen <= gen_hi_; ++gen) admit_member(gen);
-  }
-}
-
-void DetectionSession::admit_member(std::uint32_t gen) {
-  Member m;
-  m.generation = gen;
-  m.models = &ensemble_source_->generation(gen);
-  if (model_ == ModelKind::kLstm) {
-    m.lstm_state = m.models->lstm->initial_state();
-  }
-  members_.push_back(std::move(m));
 }
 
 DetectionSession::~DetectionSession() = default;
@@ -126,19 +98,7 @@ void DetectionSession::on_inference(const mcm::InferenceRecord& rec) {
         score_digest_, static_cast<std::uint8_t>(score_bits >> shift));
   }
 
-  // Ensemble consensus: member states always track the stream (they are
-  // host software fed by the same vectors), and when active the quorum
-  // verdict replaces the device's own flag in the session's accounting.
-  bool flag = rec.anomaly;
-  if (!members_.empty() && rec.input != nullptr) {
-    flag = consensus_evaluate(*rec.input);
-    if (!rec.irq_suppressed) {
-      if (flag) ++consensus_flags_;
-      if (rec.anomaly && !flag) ++consensus_overrides_;
-    }
-  } else {
-    consensus_score_ = rec.score;
-  }
+  const bool flag = quorum_.verdict(rec);
 
   if (attack_live_ && rec.injected && !saw_injected_) {
     saw_injected_ = true;
@@ -160,109 +120,33 @@ void DetectionSession::on_inference(const mcm::InferenceRecord& rec) {
   }
 }
 
-std::uint32_t DetectionSession::effective_quorum() const noexcept {
-  std::uint32_t q = options_.ensemble.quorum == 0 ? options_.ensemble.size
-                                                  : options_.ensemble.quorum;
-  q = std::min<std::uint32_t>(q, static_cast<std::uint32_t>(members_.size()));
-  return std::max<std::uint32_t>(q, 1);
-}
-
-bool DetectionSession::consensus_evaluate(const igm::InputVector& input) {
-  margins_.clear();
-  std::uint32_t flagged = 0;
-  for (auto& m : members_) {
-    float score;
-    const ml::Threshold* threshold;
-    if (model_ == ModelKind::kElm) {
-      // The payload is the encoder's raw sliding histogram; normalize with
-      // the same 1/window the training collector applies.
-      const auto& fcfg = m.models->features->config();
-      ml::Vector x(input.payload.size());
-      const float scale = 1.0f / static_cast<float>(fcfg.elm_window);
-      for (std::size_t i = 0; i < input.payload.size(); ++i) {
-        x[i] = static_cast<float>(input.payload[i]) * scale;
-      }
-      score = m.models->elm->score(x);
-      threshold = &m.models->elm_threshold;
-    } else {
-      const std::uint32_t token =
-          input.payload.empty() ? 0 : input.payload.front();
-      m.models->lstm->step(m.lstm_state, token);
-      score = m.lstm_state.ewma_nll;
-      threshold = &m.models->lstm_threshold;
-    }
-    if (threshold->exceeded(score)) ++flagged;
-    const float t = threshold->value();
-    margins_.push_back(t > 0.0f ? score / t : (score > 0.0f ? 2.0f : 0.0f));
-    ++member_evals_;
-  }
-  const std::uint32_t q = effective_quorum();
-  // Consensus score: the q-th largest member margin — above 1.0 exactly
-  // when at least q members sit above their own thresholds. Deliberately
-  // NOT folded into score_digest_: member evaluations are host-side pure
-  // functions of payloads the device digest already covers, and keeping
-  // the digest device-only makes a zero-drift single-member ensemble
-  // byte-identical to the frozen-model baseline (the bench gate). The
-  // consensus cursors (flags, overrides, member_evals) carry the swap
-  // schedule's integrity proof instead.
-  std::nth_element(margins_.begin(), margins_.begin() + (q - 1),
-                   margins_.end(), std::greater<float>());
-  consensus_score_ = margins_[q - 1];
-  return flagged >= q;
-}
-
-sim::Picoseconds DetectionSession::next_swap_ps() const noexcept {
-  return static_cast<sim::Picoseconds>(gen_hi_ + 1) *
-             options_.ensemble.retrain_ps -
-         options_.ensemble.base_ps;
-}
-
-void DetectionSession::roll_members() {
-  ++gen_hi_;
-  ++ensemble_swaps_;
-  admit_member(gen_hi_);
-  while (members_.size() > options_.ensemble.size) {
-    members_.erase(members_.begin());
-  }
-}
-
 bool DetectionSession::advance(sim::Picoseconds budget_ps) {
-  if (members_.empty() || phase_ == Phase::kDone) {
-    // No ensemble (or about to throw the lifecycle error): the state
-    // machine runs exactly as it always has.
-    return advance_phases(budget_ps);
-  }
-  // Split the budget at member-swap instants. Swap times are a pure
-  // function of simulated time, and the set only mutates here — between
-  // advance_phases() slices, i.e. at run-API boundaries — so in-flight
-  // inference is never perturbed and any external chunking produces the
-  // identical internal slice sequence (run_to_completion() passes kForever
-  // through this same wrapper).
-  auto& sim = soc_->simulator();
-  const sim::Picoseconds limit = saturating_add(sim.now(), budget_ps);
-  while (true) {
-    const sim::Picoseconds now = sim.now();
-    const sim::Picoseconds swap_at = next_swap_ps();
-    if (swap_at <= now) {
-      // Boundary reached (or overshot by a phase-exit edge group): roll
-      // before any further simulation. Loops to catch up multi-roll gaps.
-      roll_members();
-      continue;
-    }
-    const sim::Picoseconds stop_at = std::min(limit, swap_at);
-    const bool more = advance_phases(stop_at - now);
-    if (!more) return false;
-    if (sim.now() >= limit) return true;
-  }
-}
-
-bool DetectionSession::advance_phases(sim::Picoseconds budget_ps) {
   if (phase_ == Phase::kDone) {
     throw SessionLifecycleError(
         "DetectionSession::advance: session already completed");
   }
+  // Split the budget at member-swap instants (an inert quorum never
+  // swaps). Swap times are a pure function of simulated time, and the
+  // member set only mutates here — between run_phases() slices, i.e. at
+  // run-API boundaries — so in-flight inference is never perturbed and any
+  // external chunking produces the identical internal slice sequence.
   auto& sim = soc_->simulator();
   const sim::Picoseconds limit = saturating_add(sim.now(), budget_ps);
+  while (true) {
+    const sim::Picoseconds swap_at = quorum_.next_swap_ps();
+    if (swap_at <= sim.now()) {
+      // Boundary reached (or overshot by a phase-exit edge group): roll
+      // before any further simulation. Loops to catch up multi-roll gaps.
+      quorum_.roll();
+      continue;
+    }
+    if (!run_phases(std::min(limit, swap_at))) return false;
+    if (sim.now() >= limit) return true;
+  }
+}
+
+bool DetectionSession::run_phases(sim::Picoseconds limit) {
+  auto& sim = soc_->simulator();
   // Each iteration runs the current phase to its own deadline or the budget
   // limit, whichever is nearer; phase exits chain inside one advance() so a
   // generous budget crosses as many phases as it covers.
@@ -360,29 +244,25 @@ SessionCheckpoint DetectionSession::checkpoint() const {
   ckpt.false_positives = false_positives_;
   ckpt.phase = static_cast<std::uint8_t>(phase_);
   ckpt.done = phase_ == Phase::kDone;
-  ckpt.ensemble_generation = gen_hi_;
-  ckpt.ensemble_swaps = ensemble_swaps_;
-  ckpt.consensus_flags = consensus_flags_;
-  ckpt.consensus_overrides = consensus_overrides_;
-  ckpt.member_evals = member_evals_;
+  quorum_.save(ckpt);
   return ckpt;
 }
 
 std::unique_ptr<DetectionSession> DetectionSession::restore(
     const SessionCheckpoint& ckpt, const workloads::SpecProfile& profile,
-    const TrainedModels& models, EnsembleSource* ensemble) {
+    const TrainedModels& models, GenerationCache* generations) {
   if (profile.name != ckpt.benchmark) {
     throw CheckpointError("DetectionSession::restore: blob names benchmark '" +
                           ckpt.benchmark + "' but caller supplied '" +
                           profile.name + "'");
   }
-  if (ckpt.options.ensemble.active() && ensemble == nullptr) {
+  if (ckpt.options.ensemble.active() && generations == nullptr) {
     throw CheckpointError(
         "DetectionSession::restore: blob carries an active ensemble but no "
-        "EnsembleSource was supplied");
+        "GenerationCache was supplied");
   }
   auto session = std::make_unique<DetectionSession>(
-      profile, models, ckpt.model, ckpt.engine, ckpt.options, ensemble);
+      profile, models, ckpt.model, ckpt.engine, ckpt.options, generations);
   // Replay to the recorded boundary. Determinism makes the state at a
   // boundary a pure function of (config, boundary time), so one advance()
   // to progress_ps lands on the exact parked state; the loop only guards
@@ -422,19 +302,9 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(
     mismatch("phase");
   }
   if (session->done() != ckpt.done) mismatch("done");
-  if (session->gen_hi_ != ckpt.ensemble_generation) {
-    mismatch("ensemble_generation");
+  if (const char* cursor = session->quorum_.diverged_cursor(ckpt)) {
+    mismatch(cursor);
   }
-  if (session->ensemble_swaps_ != ckpt.ensemble_swaps) {
-    mismatch("ensemble_swaps");
-  }
-  if (session->consensus_flags_ != ckpt.consensus_flags) {
-    mismatch("consensus_flags");
-  }
-  if (session->consensus_overrides_ != ckpt.consensus_overrides) {
-    mismatch("consensus_overrides");
-  }
-  if (session->member_evals_ != ckpt.member_evals) mismatch("member_evals");
   return session;
 }
 
@@ -492,11 +362,7 @@ void DetectionSession::finalize() {
   result_.gpu_fast_launches = soc_->gpu().fast_launches();
 
   // Ensemble accounting (all zero when no ensemble is attached).
-  result_.ensemble_size = members_.empty() ? 0 : options_.ensemble.size;
-  result_.ensemble_swaps = ensemble_swaps_;
-  result_.consensus_flags = consensus_flags_;
-  result_.consensus_overrides = consensus_overrides_;
-  result_.member_evals = member_evals_;
+  quorum_.harvest(result_);
 
   // Pipeline health: every counter is zero in a fault-free run, so these
   // reads do not perturb the byte-identity surface.

@@ -30,12 +30,11 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "rtad/core/blob_codec.hpp"
 #include "rtad/core/experiment.hpp"
+#include "rtad/core/quorum.hpp"
 #include "rtad/core/session_checkpoint.hpp"
-#include "rtad/ml/lstm.hpp"
 
 namespace rtad::core {
 
@@ -55,20 +54,21 @@ class DetectionSession {
   /// the experiment exactly as measure_detection always did; no simulated
   /// time passes until the first advance().
   ///
-  /// When `options.ensemble` is active, `ensemble` must be non-null (throws
-  /// std::invalid_argument otherwise; it must outlive the session): the
-  /// device keeps running the anchor image exactly as before, while every
-  /// live member generation is additionally evaluated host-side on each
-  /// inference's input vector, and flag accounting switches to quorum
-  /// consensus. Member generations roll ("hot swap") only at advance()
-  /// boundaries — a pure function of simulated time, so the consensus
-  /// stream is byte-identical for any chunking, scheduler, backend or job
-  /// count. With inert ensemble options the session is bit-identical to a
-  /// build without the ensemble layer.
+  /// The verdict comes from a core::Quorum. When `options.ensemble` is
+  /// active, `generations` must be non-null (throws std::invalid_argument
+  /// otherwise; it must outlive the session): the device keeps running the
+  /// anchor image (`models`, generation 0), every live member generation
+  /// of (profile.name, model) is evaluated host-side on each inference's
+  /// input vector, and flag accounting switches to quorum consensus. Member
+  /// generations roll ("hot swap") only at advance() boundaries — a pure
+  /// function of simulated time, so the consensus stream is byte-identical
+  /// for any chunking, scheduler, backend or job count. With inert ensemble
+  /// options the session is bit-identical to a build without the ensemble
+  /// layer.
   DetectionSession(const workloads::SpecProfile& profile,
                    const TrainedModels& models, ModelKind model,
                    EngineKind engine, DetectionOptions options = {},
-                   EnsembleSource* ensemble = nullptr);
+                   GenerationCache* generations = nullptr);
   ~DetectionSession();
 
   DetectionSession(const DetectionSession&) = delete;
@@ -100,12 +100,12 @@ class DetectionSession {
   /// or a tampered blob that survived the digest). `profile`/`models` must
   /// be the ones named by `ckpt.benchmark` — the caller resolves them
   /// through its model cache; blobs do not carry weights.
-  /// `ensemble` must be supplied iff the blob's options carry an active
-  /// ensemble (the replay re-runs every member evaluation, so member LSTM
-  /// states are reconstructed rather than serialized).
+  /// `generations` must be supplied when the blob's options carry an
+  /// active ensemble (the replay re-runs every member evaluation, so member
+  /// LSTM states are reconstructed rather than serialized).
   static std::unique_ptr<DetectionSession> restore(
       const SessionCheckpoint& ckpt, const workloads::SpecProfile& profile,
-      const TrainedModels& models, EnsembleSource* ensemble = nullptr);
+      const TrainedModels& models, GenerationCache* generations = nullptr);
 
   /// Simulated time re-executed by restore() to reach the checkpoint
   /// boundary (zero for sessions that were never restored). The serve layer
@@ -134,19 +134,10 @@ class DetectionSession {
   /// Attack rounds fully finished (detection outcome recorded).
   std::size_t attacks_completed() const noexcept { return attacks_done_; }
 
-  // --- ensemble polls (inert sessions mirror the device) ---
-  /// The latest consensus score: the quorum-th largest member margin
-  /// (score over that member's own calibrated threshold), > 1.0 iff the
-  /// quorum flagged. Without an ensemble this is last_score() — the serve
-  /// layer samples this into telemetry either way.
-  double last_consensus_score() const noexcept {
-    return members_.empty() ? last_score()
-                            : static_cast<double>(consensus_score_);
-  }
-  /// Member-set rolls applied so far (0 without an ensemble).
-  std::uint64_t ensemble_swaps() const noexcept { return ensemble_swaps_; }
-  /// Newest live member generation (0 without an ensemble).
-  std::uint32_t ensemble_generation() const noexcept { return gen_hi_; }
+  /// The latest consensus score (see Quorum::score()). Without an ensemble
+  /// this is last_score() — the serve layer samples it into telemetry
+  /// either way.
+  double last_consensus_score() const noexcept { return quorum_.score(); }
 
   /// The assembled SoC (module probes, exactly like the one-shot drivers).
   RtadSoc& soc() noexcept { return *soc_; }
@@ -168,20 +159,9 @@ class DetectionSession {
   };
 
   void on_inference(const mcm::InferenceRecord& rec);
-  /// The phase state machine behind advance() (the pre-ensemble advance()
-  /// body). The public advance() additionally splits the budget at member
-  /// swap instants when an ensemble is attached.
-  bool advance_phases(sim::Picoseconds budget_ps);
-  /// Evaluate every live member on one input vector; updates member LSTM
-  /// states, consensus_score_ and the digest. Returns the quorum verdict.
-  bool consensus_evaluate(const igm::InputVector& input);
-  /// Session instant the next member roll lands at.
-  sim::Picoseconds next_swap_ps() const noexcept;
-  /// Retire the oldest member, admit generation gen_hi_ + 1.
-  void roll_members();
-  /// Fetch generation `gen` from the source and seat it as a member.
-  void admit_member(std::uint32_t gen);
-  std::uint32_t effective_quorum() const noexcept;
+  /// Run the phase state machine until the absolute instant `limit`.
+  /// Returns true while work remains.
+  bool run_phases(sim::Picoseconds limit);
   /// Arm the next attack round, or finalize when all rounds are done.
   void begin_attack_round();
   /// Record the round's outcome and enter the cool-down phase.
@@ -218,21 +198,7 @@ class DetectionSession {
   std::uint64_t score_digest_ = blob::kFnvBasis;
   sim::Sampler latency_us_;
 
-  // Rolling ensemble (members_ empty when no ensemble is attached).
-  struct Member {
-    std::uint32_t generation = 0;
-    const TrainedModels* models = nullptr;
-    ml::Lstm::State lstm_state;  ///< host-side member state (LSTM runs)
-  };
-  EnsembleSource* ensemble_source_ = nullptr;
-  std::vector<Member> members_;
-  std::uint32_t gen_hi_ = 0;          ///< newest live generation
-  float consensus_score_ = 0.0f;      ///< latest quorum-rank margin
-  std::uint64_t ensemble_swaps_ = 0;
-  std::uint64_t consensus_flags_ = 0;
-  std::uint64_t consensus_overrides_ = 0;
-  std::uint64_t member_evals_ = 0;
-  std::vector<float> margins_;  ///< scratch, avoids per-inference alloc
+  Quorum quorum_;  ///< the verdict policy (inert without an ensemble)
 
   sim::Picoseconds replayed_ps_ = 0;  ///< set by restore()
   mutable bool result_taken_ = false;

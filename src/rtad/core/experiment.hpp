@@ -82,6 +82,17 @@ struct EnsembleParams {
   sim::Picoseconds window_ps = 0;   ///< training window; 0 = retrain_ps
   sim::Picoseconds base_ps = 0;     ///< fleet-time origin of the schedule
 
+  /// Resolve the RTAD_ENSEMBLE_* knobs (strict core::env grammar):
+  ///   RTAD_ENSEMBLE_SIZE        member generations kept live        (1)
+  ///   RTAD_ENSEMBLE_QUORUM      members that must flag; 0 = all     (0)
+  ///   RTAD_ENSEMBLE_RETRAIN_US  generation cadence, simulated us; 0
+  ///                             disables the ensemble layer         (0)
+  ///   RTAD_ENSEMBLE_WINDOW      training window, simulated us; 0 =
+  ///                             the retrain cadence                 (0)
+  /// Throws std::invalid_argument on malformed values or a quorum larger
+  /// than the ensemble size.
+  static EnsembleParams from_env();
+
   bool active() const noexcept { return retrain_ps != 0 && size != 0; }
   std::uint32_t generation_at(sim::Picoseconds session_ps) const noexcept {
     return active() ? static_cast<std::uint32_t>((base_ps + session_ps) /
@@ -96,16 +107,6 @@ struct EnsembleParams {
         static_cast<sim::Picoseconds>(gen) * retrain_ps;
     return activate > w ? activate - w : 0;
   }
-};
-
-/// Where a session fetches member generations from. Implemented by
-/// ensemble::EnsembleManager; generation(g) blocks until generation g of
-/// the session's (benchmark, model kind) is trained (generation 0 is the
-/// frozen anchor). References stay valid for the source's lifetime.
-class EnsembleSource {
- public:
-  virtual ~EnsembleSource() = default;
-  virtual const TrainedModels& generation(std::uint32_t gen) = 0;
 };
 
 // ------------------------------------------------------------------ Fig. 6
@@ -242,8 +243,8 @@ struct DetectionOptions {
   /// DetectionResult::cycle_accounts even when no file export is set.
   bool cycle_accounts = false;
 
-  /// Rolling-ensemble shape (inert by default). Active params require an
-  /// EnsembleSource on the DetectionSession that runs these options.
+  /// Rolling-ensemble shape (inert by default). Active params require a
+  /// GenerationCache on the DetectionSession that runs these options.
   EnsembleParams ensemble{};
 };
 

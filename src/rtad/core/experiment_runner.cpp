@@ -50,6 +50,70 @@ const TrainedModels& TrainedModelCache::get(const std::string& benchmark) {
   return *entry->models;
 }
 
+GenerationCache::GenerationCache(std::shared_ptr<TrainedModelCache> base,
+                                 EnsembleParams params, sim::ThreadPool* pool)
+    : base_(std::move(base)), params_(params), pool_(pool) {}
+
+const TrainedModels& GenerationCache::get(const std::string& benchmark,
+                                          ModelKind kind,
+                                          std::uint32_t generation) {
+  if (generation == 0) return base_->get(benchmark);
+
+  Entry* entry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& slot = entries_[Key{benchmark, static_cast<std::uint8_t>(kind),
+                              generation}];
+    if (!slot) slot = std::make_unique<Entry>();
+    entry = slot.get();
+  }
+  std::call_once(entry->once, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const TrainingOptions& opts = base_->options();
+    auto models = std::make_unique<TrainedModels>();
+    models->features = std::make_unique<ml::DatasetBuilder>(
+        base_->profile(benchmark), opts.seed, ml::FeatureConfig{},
+        params_.training_snapshot_ps(generation));
+    train_model_side(*models, kind, opts);
+    entry->models = std::move(models);
+    generations_trained_.fetch_add(1, std::memory_order_relaxed);
+    retrain_work_units_.fetch_add(
+        kind == ModelKind::kElm ? opts.elm_train_windows + opts.elm_val_windows
+                                : opts.lstm_train_tokens + opts.lstm_val_tokens,
+        std::memory_order_relaxed);
+    retrain_wall_ns_.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()),
+        std::memory_order_relaxed);
+  });
+  return *entry->models;
+}
+
+void GenerationCache::prefetch(const std::string& benchmark, ModelKind kind,
+                               std::uint32_t up_to_generation) {
+  for (std::uint32_t gen = 1; gen <= up_to_generation; ++gen) {
+    if (pool_ == nullptr) {
+      get(benchmark, kind, gen);
+      continue;
+    }
+    auto fut = pool_->submit(
+        [this, benchmark, kind, gen] { get(benchmark, kind, gen); });
+    std::lock_guard<std::mutex> lock(mutex_);
+    prefetches_.push_back(std::move(fut));
+  }
+}
+
+void GenerationCache::drain() {
+  std::vector<std::future<void>> pending;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending.swap(prefetches_);
+  }
+  for (auto& f : pending) f.get();
+}
+
 ExperimentRunner::ExperimentRunner(std::size_t jobs,
                                    std::shared_ptr<TrainedModelCache> cache)
     : cache_(cache ? std::move(cache)

@@ -17,11 +17,13 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "rtad/core/experiment.hpp"
@@ -72,6 +74,86 @@ class TrainedModelCache {
   mutable std::mutex mutex_;  ///< guards the map; entries train unlocked
   std::map<std::string, std::unique_ptr<Entry>> entries_;
   std::atomic<std::size_t> trainings_{0};
+};
+
+/// Generation-keyed model store for rolling ensembles, one per fleet.
+///
+/// Generalizes TrainedModelCache from "one frozen model per benchmark" to
+/// entries keyed by {benchmark, model kind, window generation}. Generation
+/// 0 is the anchor: the base cache's entry, so the rolling path reuses the
+/// exact weights (and device images) the frozen path deploys. Generation
+/// g >= 1 retrains the requested kind on the trailing trace window of the
+/// drifting workload — the dataset builder's drift snapshot is frozen at
+/// EnsembleParams::training_snapshot_ps(g) — with the *same* training
+/// options and seed as the anchor. On a workload with no active drift
+/// schedule every generation therefore reproduces the anchor's weights
+/// bit-for-bit, which makes a zero-drift rolling run byte-identical to the
+/// frozen baseline.
+///
+/// Training follows the base cache's call_once discipline. prefetch()
+/// submits upcoming generations to the thread pool fire-and-forget, so
+/// serve::Shard retrains off the hot path; a session that reaches a swap
+/// before its prefetch landed trains inline in get() — correctness never
+/// depends on prefetch timing, only wall clock does. drain() joins the
+/// outstanding prefetches so the counters are read race-free and stay
+/// byte-identical across worker counts.
+class GenerationCache {
+ public:
+  /// `pool` may be null: prefetch() then trains inline (tests, standalone
+  /// benches). The pool must outlive the cache.
+  GenerationCache(std::shared_ptr<TrainedModelCache> base,
+                  EnsembleParams params, sim::ThreadPool* pool = nullptr);
+
+  /// Models of `generation` for (benchmark, kind). Blocks until trained;
+  /// the reference stays valid for the cache's lifetime. Generation 0 is
+  /// the base cache's frozen entry (both model kinds populated); later
+  /// generations train only the requested kind — the other side of the
+  /// returned TrainedModels is left empty.
+  const TrainedModels& get(const std::string& benchmark, ModelKind kind,
+                           std::uint32_t generation);
+
+  /// Schedule training of generations 1..`up_to_generation` off the hot
+  /// path. Duplicate prefetches collapse onto the same call_once entries.
+  void prefetch(const std::string& benchmark, ModelKind kind,
+                std::uint32_t up_to_generation);
+  /// Wait for every outstanding prefetch. Call before reading counters.
+  void drain();
+
+  const EnsembleParams& params() const noexcept { return params_; }
+
+  /// Generations actually retrained (excludes the anchor). A pure function
+  /// of the set of entries requested, so fleet-stable.
+  std::uint64_t generations_trained() const noexcept {
+    return generations_trained_.load(std::memory_order_relaxed);
+  }
+  /// Deterministic retrain work units: training tokens + windows collected
+  /// across all retrained generations (the simulated-cost proxy reported
+  /// in rtad.serve.v1).
+  std::uint64_t retrain_work_units() const noexcept {
+    return retrain_work_units_.load(std::memory_order_relaxed);
+  }
+  /// Host wall clock spent retraining. Diagnostics only — stderr and the
+  /// bench host object, never byte-stable output.
+  std::uint64_t retrain_wall_ns() const noexcept {
+    return retrain_wall_ns_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Entry {
+    std::once_flag once;
+    std::unique_ptr<const TrainedModels> models;
+  };
+  using Key = std::tuple<std::string, std::uint8_t, std::uint32_t>;
+
+  std::shared_ptr<TrainedModelCache> base_;
+  EnsembleParams params_;
+  sim::ThreadPool* pool_;
+  std::mutex mutex_;  ///< guards entries_ and prefetches_
+  std::map<Key, std::unique_ptr<Entry>> entries_;
+  std::vector<std::future<void>> prefetches_;
+  std::atomic<std::uint64_t> generations_trained_{0};
+  std::atomic<std::uint64_t> retrain_work_units_{0};
+  std::atomic<std::uint64_t> retrain_wall_ns_{0};
 };
 
 /// One cell of the detection matrix (Fig. 8 and the ablations).

@@ -1,6 +1,7 @@
 #include "rtad/core/session_checkpoint.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "rtad/core/blob_codec.hpp"
 
@@ -30,6 +31,18 @@ void write_fault_plan(Writer& w, const fault::FaultPlan& plan) {
   w.u64(plan.serve.brownout_us);
   w.u64(plan.serve.horizon_us);
   w.u32(plan.serve.max_events);
+}
+
+/// A one-byte enum field. Values past `last` are rejected by field name: a
+/// blob with a repaired digest must not restore as an unnamed kind.
+template <typename Enum>
+Enum read_enum(Reader& r, Enum last, const char* field) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(last)) {
+    throw CheckpointError(std::string("SessionCheckpoint: bad ") + field +
+                          " value " + std::to_string(v));
+  }
+  return static_cast<Enum>(v);
 }
 
 fault::FaultPlan read_fault_plan(Reader& r) {
@@ -139,8 +152,8 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
 
   SessionCheckpoint ckpt;
   ckpt.benchmark = r.str();
-  ckpt.model = static_cast<ModelKind>(r.u8());
-  ckpt.engine = static_cast<EngineKind>(r.u8());
+  ckpt.model = read_enum(r, ModelKind::kLstm, "model");
+  ckpt.engine = read_enum(r, EngineKind::kMlMiaow, "engine");
 
   ckpt.options.attacks = static_cast<std::size_t>(r.u64());
   ckpt.options.burst_events = r.u32();
@@ -148,9 +161,12 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
   ckpt.options.attribution_window_ps = r.u64();
   ckpt.options.seed = r.u64();
   ckpt.options.elm_syscall_interval_cap = r.u64();
-  ckpt.options.sched = static_cast<sim::SchedMode>(r.u8());
-  ckpt.options.backend = static_cast<gpgpu::GpuBackend>(r.u8());
-  ckpt.options.proto = static_cast<trace::TraceProtocol>(r.u8());
+  ckpt.options.sched =
+      read_enum(r, sim::SchedMode::kEventDriven, "options.sched");
+  ckpt.options.backend =
+      read_enum(r, gpgpu::GpuBackend::kFast, "options.backend");
+  ckpt.options.proto =
+      read_enum(r, trace::TraceProtocol::kEtrace, "options.proto");
   ckpt.options.cycle_accounts = r.u8() != 0;
   ckpt.options.trace_path = r.str();
   ckpt.options.metrics_path = r.str();
@@ -166,6 +182,13 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
     ckpt.options.ensemble.retrain_ps = r.u64();
     ckpt.options.ensemble.window_ps = r.u64();
     ckpt.options.ensemble.base_ps = r.u64();
+    const EnsembleParams& e = ckpt.options.ensemble;
+    if (e.quorum > e.size) {
+      throw CheckpointError("SessionCheckpoint: ensemble.quorum (" +
+                            std::to_string(e.quorum) +
+                            ") exceeds ensemble.size (" +
+                            std::to_string(e.size) + ")");
+    }
   }
   // v1 blobs keep the inert defaults: a single-model generation-0 ensemble.
 

@@ -96,7 +96,9 @@ struct SessionCheckpoint {
   std::vector<std::uint8_t> serialize() const;
 
   /// Inverse of serialize(). Throws CheckpointError on bad magic,
-  /// truncated input, trailing bytes, or digest mismatch.
+  /// truncated input, trailing bytes, digest mismatch, or a field out of
+  /// range (an unknown enum value, an ensemble quorum above its size) —
+  /// each named in the message.
   static SessionCheckpoint parse(const std::uint8_t* data, std::size_t size);
   static SessionCheckpoint parse(const std::vector<std::uint8_t>& blob) {
     return parse(blob.data(), blob.size());

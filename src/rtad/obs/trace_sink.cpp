@@ -1,6 +1,8 @@
 #include "rtad/obs/trace_sink.hpp"
 
+#include <algorithm>
 #include <ostream>
+#include <tuple>
 
 namespace rtad::obs {
 namespace {
@@ -32,15 +34,15 @@ void write_escaped(std::ostream& os, std::string_view s) {
 }  // namespace
 
 TrackId TraceSink::track(std::string name) {
-  tracks_.push_back(Track{std::move(name)});
+  tracks_.emplace_back();
+  tracks_.back().name = std::move(name);
   return static_cast<TrackId>(tracks_.size() - 1);
 }
 
 TrackId TraceSink::counter_track(std::string name) {
-  Track t{std::move(name)};
-  t.is_counter = true;
-  tracks_.push_back(std::move(t));
-  return static_cast<TrackId>(tracks_.size() - 1);
+  const TrackId t = track(std::move(name));
+  tracks_[t].is_counter = true;
+  return t;
 }
 
 void TraceSink::begin(TrackId t, std::string_view name, std::uint64_t ts_ps) {
@@ -99,7 +101,20 @@ void TraceSink::write_chrome_json(std::ostream& os) const {
     write_escaped(os, tracks_[i].name);
     os << "\"}}";
   }
-  for (const Event& e : events_) {
+  // Export in (ts, track, kind, name) order, ties in recording order. The
+  // cycle and fast GPU backends record the same events, but the fast one
+  // records a kernel's spans when it launches rather than as the cycles
+  // retire; sorting makes the file independent of that.
+  std::vector<const Event*> order;
+  order.reserve(events_.size());
+  for (const Event& e : events_) order.push_back(&e);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Event* a, const Event* b) {
+                     return std::tie(a->ts_ps, a->track, a->kind, a->name) <
+                            std::tie(b->ts_ps, b->track, b->kind, b->name);
+                   });
+  for (const Event* ep : order) {
+    const Event& e = *ep;
     comma();
     switch (e.kind) {
       case Kind::kComplete:

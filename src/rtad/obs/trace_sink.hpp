@@ -17,7 +17,8 @@ using TrackId = std::uint32_t;
 /// fire under both schedulers (a skipped tick is by definition a no-op tick,
 /// and no-op ticks record nothing), and counters are deduplicated on value,
 /// so the emitted byte stream is identical across RTAD_SCHED=dense|event and
-/// any RTAD_JOBS count.
+/// any RTAD_JOBS count. The export is sorted, which extends that to
+/// RTAD_BACKEND=cycle|fast (see write_chrome_json).
 class TraceSink {
  public:
   /// Registers a span/instant track (rendered as a named thread).
@@ -40,9 +41,10 @@ class TraceSink {
 
   std::size_t event_count() const { return events_.size(); }
 
-  /// Emits the Chrome-trace JSON ("traceEvents" array). Timestamps are
-  /// microseconds printed exactly from integer picoseconds (six fractional
-  /// digits), so output is byte-stable. Spans still open are not emitted.
+  /// Emits the Chrome-trace JSON ("traceEvents" array), events sorted by
+  /// (timestamp, track, kind, name). Timestamps are microseconds printed
+  /// exactly from integer picoseconds (six fractional digits), so output is
+  /// byte-stable. Spans still open are not emitted.
   void write_chrome_json(std::ostream& os) const;
 
  private:

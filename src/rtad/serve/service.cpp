@@ -39,7 +39,7 @@ ServiceConfig ServiceConfig::from_env() {
     cfg.fault_seed = plan->seed;
   }
   cfg.telemetry = telemetry::StoreConfig::from_env();
-  cfg.ensemble = ensemble::params_from_env();
+  cfg.ensemble = core::EnsembleParams::from_env();
   return cfg;
 }
 
@@ -94,7 +94,7 @@ Service::Service(ServiceConfig cfg,
       pool_(jobs) {
   if (cfg_.shards == 0) cfg_.shards = 1;
   if (cfg_.ensemble.active()) {
-    ensembles_ = std::make_unique<ensemble::EnsembleManager>(
+    generations_ = std::make_unique<core::GenerationCache>(
         cache_, cfg_.ensemble, &pool_);
   }
 }
@@ -134,7 +134,7 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
   shards.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     shards.push_back(
-        std::make_unique<Shard>(s, scfg, cache_, ensembles_.get()));
+        std::make_unique<Shard>(s, scfg, cache_, generations_.get()));
   }
   for (auto& req : requests) {
     shards[shard_of(req.tenant)]->enqueue(std::move(req));
@@ -218,11 +218,11 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
 
   // Join outstanding retrain prefetches before any counter is read: the
   // trained-generation census must not depend on how far the pool got.
-  if (ensembles_) {
-    ensembles_->drain();
-    rep.generations_trained = ensembles_->generations_trained();
-    rep.retrain_work_units = ensembles_->retrain_work_units();
-    rep.retrain_wall_ns = ensembles_->retrain_wall_ns();
+  if (generations_) {
+    generations_->drain();
+    rep.generations_trained = generations_->generations_trained();
+    rep.retrain_work_units = generations_->retrain_work_units();
+    rep.retrain_wall_ns = generations_->retrain_wall_ns();
   }
 
   for (std::size_t s = 0; s < shards.size(); ++s) {

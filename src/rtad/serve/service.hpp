@@ -29,12 +29,8 @@
 //   RTAD_TELEMETRY_PAGE         tier-0 samples per telemetry page   (64)
 //   RTAD_TELEMETRY_HALF_LIFE_US ranking recency half-life, simulated us;
 //                               0 = (window span)/4 (telemetry/query.hpp)
-//   RTAD_ENSEMBLE_SIZE          rolling-ensemble members per tenant  (1)
-//   RTAD_ENSEMBLE_QUORUM        members that must flag; 0 = all      (0)
-//   RTAD_ENSEMBLE_RETRAIN_US    retrain cadence, simulated us; 0
-//                               disables the ensemble layer          (0)
-//   RTAD_ENSEMBLE_WINDOW        training window, simulated us;
-//                               0 = the retrain cadence              (0)
+//   RTAD_ENSEMBLE_*             rolling ensemble per tenant (see
+//                               core::EnsembleParams::from_env)
 #pragma once
 
 #include <cstddef>
@@ -44,7 +40,6 @@
 #include <string_view>
 #include <vector>
 
-#include "rtad/ensemble/ensemble_manager.hpp"
 #include "rtad/serve/shard.hpp"
 #include "rtad/telemetry/store.hpp"
 
@@ -190,7 +185,7 @@ struct ServiceReport {
   sim::Sampler recovery_latency_us;  ///< orphaned → restored-start gap
 
   // --- rolling ensemble (all zero when cfg.ensemble is inactive). The
-  // counters are harvested after the manager's drain(), so they are
+  // counters are harvested after the generation cache's drain(), so they are
   // byte-identical across worker counts. retrain_wall_ns is the one
   // host-dependent number: it never reaches the JSON document — benches
   // report it in their trailing host section. ---
@@ -227,8 +222,6 @@ class Service {
     return shard_for(tenant, cfg_.shards);
   }
   core::TrainedModelCache& cache() noexcept { return *cache_; }
-  /// The fleet's ensemble manager; null when cfg.ensemble is inactive.
-  ensemble::EnsembleManager* ensembles() noexcept { return ensembles_.get(); }
 
   /// Serve one arrival schedule. Tickets are (re)assigned by position, so
   /// the caller's request order is the canonical submission order.
@@ -238,7 +231,8 @@ class Service {
   ServiceConfig cfg_;
   std::shared_ptr<core::TrainedModelCache> cache_;
   sim::ThreadPool pool_;
-  std::unique_ptr<ensemble::EnsembleManager> ensembles_;
+  /// The fleet's member generations; null when cfg.ensemble is inactive.
+  std::unique_ptr<core::GenerationCache> generations_;
 };
 
 /// Emit the `rtad.serve.v1` JSON document: config echo, fleet health

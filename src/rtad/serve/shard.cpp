@@ -25,16 +25,16 @@ struct RetryLater {
 
 Shard::Shard(std::size_t id, ShardConfig cfg,
              std::shared_ptr<core::TrainedModelCache> cache,
-             ensemble::EnsembleManager* ensembles)
+             core::GenerationCache* generations)
     : id_(id),
       cfg_(std::move(cfg)),
       cache_(std::move(cache)),
-      ensembles_(ensembles),
+      generations_(generations),
       admission_(cfg_.admission),
       store_(cfg_.checkpoint_cap_bytes) {
-  if (cfg_.ensemble.active() && ensembles_ == nullptr) {
+  if (cfg_.ensemble.active() && generations_ == nullptr) {
     throw std::invalid_argument(
-        "Shard: active ensemble config requires an EnsembleManager");
+        "Shard: active ensemble config requires a GenerationCache");
   }
   if (cfg_.lanes == 0) cfg_.lanes = 1;
   lane_free_at_.assign(cfg_.lanes, 0);
@@ -276,14 +276,15 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
   // failed-over session resumes the identical member schedule. Prefetch
   // the initial member set plus the next generation onto the pool; a
   // session that outruns the prefetch falls back to the cache's blocking
-  // get(), which changes wall clock but never results.
+  // get(), which changes wall clock but never results. Sessions key their
+  // generations on the resolved profile name, and so does the prefetch.
   opts.ensemble = cfg_.ensemble;
   opts.ensemble.base_ps = req.origin_arrival_ps;
-  core::EnsembleSource* ensemble_source = nullptr;
+  const workloads::SpecProfile profile = cache_->profile(req.benchmark);
+  const core::TrainedModels& models = cache_->get(req.benchmark);
   if (opts.ensemble.active()) {
-    ensemble_source = &ensembles_->source(req.benchmark, model);
-    ensembles_->prefetch(req.benchmark, model,
-                         opts.ensemble.generation_at(0) + 1);
+    generations_->prefetch(profile.name, model,
+                           opts.ensemble.generation_at(0) + 1);
   }
 
   // Thaw or construct. A parked blob resurrects the exact session that was
@@ -299,16 +300,11 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
       // Cache lookups key on the request's benchmark alias; restore()
       // cross-checks the resolved profile against the blob's full name.
       // The blob's options carry the episode's own ensemble shape (base
-      // included), so the restored member schedule is the original one.
-      // The source is re-resolved against the blob's model kind: a
-      // degraded episode parked as ELM restores its ELM members.
-      core::EnsembleSource* restore_source = nullptr;
-      if (ckpt.options.ensemble.active()) {
-        restore_source = &ensembles_->source(req.benchmark, ckpt.model);
-      }
-      session = core::DetectionSession::restore(
-          ckpt, cache_->profile(req.benchmark), cache_->get(req.benchmark),
-          restore_source);
+      // included) and model kind, so the restored member schedule is the
+      // original one: a degraded episode parked as ELM restores its ELM
+      // members.
+      session = core::DetectionSession::restore(ckpt, profile, models,
+                                                generations_);
       recovered = true;
       ++stats_.recovered;
       stats_.replay_ps += session->replayed_ps();
@@ -318,10 +314,8 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
     stats_.recovery_latency_us.record(sim::to_us(start - parked->parked_at));
   }
   if (!session) {
-    const auto profile = cache_->profile(req.benchmark);
-    const core::TrainedModels& models = cache_->get(req.benchmark);
     session = std::make_unique<core::DetectionSession>(
-        profile, models, model, req.engine, opts, ensemble_source);
+        profile, models, model, req.engine, opts, generations_);
   }
   const sim::Picoseconds base = session->now();
 

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "rtad/core/experiment_runner.hpp"
-#include "rtad/ensemble/ensemble_manager.hpp"
 #include "rtad/serve/admission.hpp"
 #include "rtad/serve/checkpoint_store.hpp"
 #include "rtad/serve/fault_domain.hpp"
@@ -167,11 +166,11 @@ struct ShardStats {
 
 class Shard {
  public:
-  /// `ensembles` may be null (required non-null when cfg.ensemble is
+  /// `generations` may be null (required non-null when cfg.ensemble is
   /// active); not owned, must outlive the shard.
   Shard(std::size_t id, ShardConfig cfg,
         std::shared_ptr<core::TrainedModelCache> cache,
-        ensemble::EnsembleManager* ensembles = nullptr);
+        core::GenerationCache* generations = nullptr);
 
   std::size_t id() const noexcept { return id_; }
   const ShardConfig& config() const noexcept { return cfg_; }
@@ -235,7 +234,7 @@ class Shard {
   std::size_t id_;
   ShardConfig cfg_;
   std::shared_ptr<core::TrainedModelCache> cache_;
-  ensemble::EnsembleManager* ensembles_ = nullptr;
+  core::GenerationCache* generations_ = nullptr;
   std::vector<SessionRequest> staged_;
   std::vector<SessionRequest> retry_queue_;  ///< min-heap by (arrival, ticket)
   std::vector<sim::Picoseconds> lane_free_at_;

@@ -221,6 +221,53 @@ TEST(SessionCheckpoint, ParseRejectsCorruptBlobs) {
   EXPECT_NO_THROW(SessionCheckpoint::parse(blob));
 }
 
+TEST(SessionCheckpoint, ParseNamesOutOfRangeFields) {
+  auto session = make_session(session_options());
+  const SessionCheckpoint ckpt = session->checkpoint();
+  const auto blob = ckpt.serialize();
+
+  // Offsets in the layout serialize() writes: magic, length-prefixed
+  // benchmark, model, engine, then 44 bytes of numeric options before the
+  // sched/backend/proto bytes. The ensemble quorum is the second u32 of
+  // the 32-byte ensemble shape that precedes the 58-byte progress block
+  // and the 36 bytes of ensemble cursors.
+  const std::size_t kinds = 8 + 4 + ckpt.benchmark.size();
+  const std::size_t quorum = blob.size() - 8 - (4 + 4 * 8) - (7 * 8 + 2) -
+                             (2 * 4 + 3 * 8) + 4;
+  struct Case {
+    const char* field;
+    std::size_t at;
+    std::uint8_t was;
+    std::uint8_t value;
+  };
+  const Case cases[] = {
+      {"model", kinds, static_cast<std::uint8_t>(ckpt.model), 7},
+      {"engine", kinds + 1, static_cast<std::uint8_t>(ckpt.engine), 2},
+      {"options.sched", kinds + 46,
+       static_cast<std::uint8_t>(ckpt.options.sched), 2},
+      {"options.backend", kinds + 47,
+       static_cast<std::uint8_t>(ckpt.options.backend), 2},
+      {"options.proto", kinds + 48,
+       static_cast<std::uint8_t>(ckpt.options.proto), 2},
+      // size 1, quorum 2: the combination EnsembleParams::from_env refuses.
+      {"ensemble.quorum", quorum, 0, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    ASSERT_EQ(blob[c.at], c.was) << "offset table out of date";
+    auto bad = blob;
+    bad[c.at] = c.value;
+    repair_digest(bad);
+    try {
+      SessionCheckpoint::parse(bad);
+      ADD_FAILURE() << c.field << " " << int{c.value} << " parsed";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SessionCheckpoint, RestoreRejectsTamperedCursorsAndWrongProfile) {
   auto cache = shared_cache();
   auto session = make_session(session_options());

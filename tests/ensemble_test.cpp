@@ -14,7 +14,7 @@
 //      counters, swap count) is identical across the matrix.
 //   4. A checkpoint taken between two swaps restores into a session that
 //      finishes byte-identical to the uninterrupted run; restoring an
-//      active-ensemble blob without an EnsembleSource is a named error.
+//      active-ensemble blob without a GenerationCache is a named error.
 //   5. The serve fleet's ensemble counters are worker-count invariant.
 #include <gtest/gtest.h>
 
@@ -22,12 +22,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/session_checkpoint.hpp"
-#include "rtad/ensemble/ensemble_manager.hpp"
 #include "rtad/serve/service.hpp"
 #include "rtad/serve/shard.hpp"
 #include "rtad/workloads/catalog.hpp"
@@ -119,7 +119,7 @@ class EnsembleEnv : public ::testing::Test {
 };
 
 TEST_F(EnsembleEnv, DefaultsAreInert) {
-  const core::EnsembleParams p = ensemble::params_from_env();
+  const core::EnsembleParams p = core::EnsembleParams::from_env();
   EXPECT_EQ(p.size, 1u);
   EXPECT_EQ(p.quorum, 0u);
   EXPECT_EQ(p.retrain_ps, 0u);
@@ -132,7 +132,7 @@ TEST_F(EnsembleEnv, ParsesEveryKnob) {
   set("RTAD_ENSEMBLE_QUORUM", "3");
   set("RTAD_ENSEMBLE_RETRAIN_US", "25000");
   set("RTAD_ENSEMBLE_WINDOW", "10000");
-  const core::EnsembleParams p = ensemble::params_from_env();
+  const core::EnsembleParams p = core::EnsembleParams::from_env();
   EXPECT_EQ(p.size, 5u);
   EXPECT_EQ(p.quorum, 3u);
   EXPECT_EQ(p.retrain_ps, sim::Picoseconds{25'000} * sim::kPsPerUs);
@@ -142,15 +142,15 @@ TEST_F(EnsembleEnv, ParsesEveryKnob) {
 
 TEST_F(EnsembleEnv, MalformedAndInconsistentKnobsThrow) {
   set("RTAD_ENSEMBLE_SIZE", "0");  // size is positive_or: zero is malformed
-  EXPECT_THROW(ensemble::params_from_env(), std::invalid_argument);
+  EXPECT_THROW(core::EnsembleParams::from_env(), std::invalid_argument);
   clear();
   set("RTAD_ENSEMBLE_RETRAIN_US", "fast");
-  EXPECT_THROW(ensemble::params_from_env(), std::invalid_argument);
+  EXPECT_THROW(core::EnsembleParams::from_env(), std::invalid_argument);
   clear();
   set("RTAD_ENSEMBLE_SIZE", "3");
   set("RTAD_ENSEMBLE_QUORUM", "4");
   try {
-    ensemble::params_from_env();
+    core::EnsembleParams::from_env();
     FAIL() << "quorum > size must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("RTAD_ENSEMBLE_QUORUM"),
@@ -183,7 +183,7 @@ TEST(EnsembleSchedule, MembershipIsAPureFunctionOfSimulatedTime) {
 
 TEST(GenerationCache, AnchorDelegatesAndGenerationsTrainOnce) {
   auto base = shared_cache();
-  ensemble::GenerationCache cache(base, test_params());
+  core::GenerationCache cache(base, test_params());
 
   // Generation 0 is the anchor entry itself — same object, no retrain.
   const core::TrainedModels& anchor =
@@ -202,14 +202,13 @@ TEST(GenerationCache, AnchorDelegatesAndGenerationsTrainOnce) {
 }
 
 std::unique_ptr<core::DetectionSession> make_ensemble_session(
-    ensemble::EnsembleManager& mgr, const core::DetectionOptions& base_opts) {
+    core::GenerationCache& mgr, const core::DetectionOptions& base_opts) {
   auto cache = shared_cache();
   core::DetectionOptions opts = base_opts;
   opts.ensemble = mgr.params();
   return std::make_unique<core::DetectionSession>(
       cache->profile(kDriftBench), cache->get(kDriftBench),
-      core::ModelKind::kElm, core::EngineKind::kMlMiaow, opts,
-      &mgr.source(kDriftBench, core::ModelKind::kElm));
+      core::ModelKind::kElm, core::EngineKind::kMlMiaow, opts, &mgr);
 }
 
 TEST(EnsembleDeterminism, SwapsLandIdenticallyForEveryChunkKernelAndBackend) {
@@ -238,7 +237,7 @@ TEST(EnsembleDeterminism, SwapsLandIdenticallyForEveryChunkKernelAndBackend) {
 
   std::vector<core::DetectionResult> results;
   for (const Variant& v : variants) {
-    ensemble::EnsembleManager mgr(cache, test_params());
+    core::GenerationCache mgr(cache, test_params());
     core::DetectionOptions opts = session_options();
     opts.sched = v.sched;
     opts.backend = v.backend;
@@ -267,7 +266,7 @@ TEST(EnsembleCheckpoint, RestoreStraddlesASwapBoundary) {
   auto cache = shared_cache();
   const auto params = test_params();
 
-  ensemble::EnsembleManager straight_mgr(cache, params);
+  core::GenerationCache straight_mgr(cache, params);
   auto straight = make_ensemble_session(straight_mgr, session_options());
   while (straight->advance(900 * sim::kPsPerUs)) {
   }
@@ -276,7 +275,7 @@ TEST(EnsembleCheckpoint, RestoreStraddlesASwapBoundary) {
   // Park between the second and third swap (not on a boundary), round-trip
   // the blob through bytes, restore against a *fresh* manager (cold
   // generation cache — restore retrains what it needs) and finish.
-  ensemble::EnsembleManager park_mgr(cache, params);
+  core::GenerationCache park_mgr(cache, params);
   auto parked = make_ensemble_session(park_mgr, session_options());
   const sim::Picoseconds park_at =
       2 * params.retrain_ps + params.retrain_ps / 2;
@@ -290,10 +289,9 @@ TEST(EnsembleCheckpoint, RestoreStraddlesASwapBoundary) {
   EXPECT_EQ(ckpt.ensemble_generation, 2u);
   EXPECT_EQ(ckpt.ensemble_swaps, 2u);
 
-  ensemble::EnsembleManager resume_mgr(cache, params);
+  core::GenerationCache resume_mgr(cache, params);
   auto resumed = core::DetectionSession::restore(
-      ckpt, cache->profile(kDriftBench), cache->get(kDriftBench),
-      &resume_mgr.source(kDriftBench, core::ModelKind::kElm));
+      ckpt, cache->profile(kDriftBench), cache->get(kDriftBench), &resume_mgr);
   while (resumed->advance(900 * sim::kPsPerUs)) {
   }
   expect_identical(want, resumed->result());
@@ -311,6 +309,52 @@ TEST(EnsembleCheckpoint, RestoreStraddlesASwapBoundary) {
                                       core::ModelKind::kElm,
                                       core::EngineKind::kMlMiaow, opts),
                std::invalid_argument);
+}
+
+TEST(EnsembleCheckpoint, RestoreNamesEveryTamperedEnsembleCursor) {
+  auto cache = shared_cache();
+  const auto params = test_params();
+  core::GenerationCache mgr(cache, params);
+  auto parked = make_ensemble_session(mgr, session_options());
+  const sim::Picoseconds park_at =
+      2 * params.retrain_ps + params.retrain_ps / 2;
+  while (!parked->done() && parked->now() < park_at) {
+    parked->advance(900 * sim::kPsPerUs);
+  }
+  ASSERT_FALSE(parked->done()) << "episode finished before the swap window";
+  const core::SessionCheckpoint ckpt = parked->checkpoint();
+  ASSERT_GT(ckpt.ensemble_swaps, 0u);
+  ASSERT_GT(ckpt.member_evals, 0u);
+
+  // Each cursor bumped alone, re-serialized under a fresh digest: the
+  // replay reproduces the original cursors, so restore must refuse and
+  // name the one that was tampered with.
+  using Bump = void (*)(core::SessionCheckpoint&);
+  const std::pair<const char*, Bump> cases[] = {
+      {"ensemble_generation",
+       [](core::SessionCheckpoint& c) { ++c.ensemble_generation; }},
+      {"ensemble_swaps",
+       [](core::SessionCheckpoint& c) { ++c.ensemble_swaps; }},
+      {"consensus_flags",
+       [](core::SessionCheckpoint& c) { ++c.consensus_flags; }},
+      {"consensus_overrides",
+       [](core::SessionCheckpoint& c) { ++c.consensus_overrides; }},
+      {"member_evals", [](core::SessionCheckpoint& c) { ++c.member_evals; }},
+  };
+  for (const auto& [cursor, bump] : cases) {
+    SCOPED_TRACE(cursor);
+    core::SessionCheckpoint bad = ckpt;
+    bump(bad);
+    bad = core::SessionCheckpoint::parse(bad.serialize());
+    try {
+      core::DetectionSession::restore(bad, cache->profile(kDriftBench),
+                                      cache->get(kDriftBench), &mgr);
+      ADD_FAILURE() << "tampered " << cursor << " restored";
+    } catch (const core::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(cursor), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 serve::ServiceReport run_fleet(std::size_t jobs) {

@@ -533,10 +533,17 @@ class ProgramFuzzer {
 
  private:
   int pick(int n) { return static_cast<int>(rng_() % static_cast<unsigned>(n)); }
-  std::string vr() { return "v" + std::to_string(3 + pick(nv_ - 3)); }
-  std::string vpair() { return "v" + std::to_string(4 + 2 * pick((nv_ - 5) / 2)); }
-  std::string sr() { return "s" + std::to_string(4 + pick(12)); }
-  std::string spair() { return "s" + std::to_string(4 + 2 * pick(6)); }
+  // Built by appending: `"v" + std::to_string(...)` trips a GCC 12
+  // -Wrestrict false positive in Release builds.
+  static std::string reg_text(char file, int index) {
+    std::string text(1, file);
+    text += std::to_string(index);
+    return text;
+  }
+  std::string vr() { return reg_text('v', 3 + pick(nv_ - 3)); }
+  std::string vpair() { return reg_text('v', 4 + 2 * pick((nv_ - 5) / 2)); }
+  std::string sr() { return reg_text('s', 4 + pick(12)); }
+  std::string spair() { return reg_text('s', 4 + 2 * pick(6)); }
 
   std::string lit() {
     switch (pick(5)) {
@@ -580,7 +587,7 @@ class ProgramFuzzer {
     line("s_lshl_b32 s26, s1, 15");
     line("s_add_i32 s25, s25, s26");
     for (int r = 3; r < nv_; ++r) {
-      const std::string reg = "v" + std::to_string(r);
+      const std::string reg = reg_text('v', r);
       switch (pick(3)) {
         case 0: line("v_mov_b32 " + reg + ", " + lit()); break;
         case 1:

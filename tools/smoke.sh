@@ -118,9 +118,6 @@ for mode in "${modes[@]:1}"; do
   fi
   for ext in trace.json metrics.json; do
     [ -f "${ref}.${ext}" ] || continue
-    # The fast backend emits the same spans in another order, so the
-    # Perfetto trace is compared across the cycle-backend modes only.
-    [ "${mode}.${ext}" = fast-j8.trace.json ] && continue
     same "${ref}.${ext}" "${mode}.${ext}"
   done
 done
