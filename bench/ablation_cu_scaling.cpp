@@ -7,6 +7,7 @@
 // its own Gpu), so they fan out across the experiment runner (RTAD_JOBS).
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/dataset.hpp"
@@ -31,9 +32,7 @@ std::uint64_t inference_cycles(const ml::ModelImage& image,
   return gpu.total_cycles() - before;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "ABLATION: INFERENCE LATENCY vs CU COUNT (GPU cycles @50 MHz)\n\n";
 
   core::ExperimentRunner runner;
@@ -95,3 +94,7 @@ int main() {
                "why ML-MIAOW ships 5 (all the trimmed area affords).\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("ablation_cu_scaling", run); }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/dataset.hpp"
@@ -59,9 +60,7 @@ std::uint64_t device_latency_cycles(const ml::ModelImage& image,
   return gpu.total_cycles() - before;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "ABLATION: ELM vs TRADITIONAL MLP (400.perlbench syscall "
                "windows)\n\n";
   const auto& p = workloads::find_profile("perlbench");
@@ -152,3 +151,7 @@ int main() {
                " a fraction of the training cost and a lighter model.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("ablation_elm_vs_mlp", run); }

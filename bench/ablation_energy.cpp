@@ -11,6 +11,7 @@
 // concurrently on the experiment runner's pool (RTAD_JOBS).
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/kernel_compiler.hpp"
@@ -47,9 +48,7 @@ RunResult run_engine(const ml::ModelImage& image, std::uint32_t num_cus,
   return r;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "ABLATION: ENERGY PER LSTM INFERENCE (45nm model)\n\n";
 
   ml::LstmConfig lcfg;
@@ -106,3 +105,7 @@ int main() {
             << "x the energy per inference.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("ablation_energy", run); }

@@ -10,13 +10,16 @@
 // the rules cannot see.
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/core/rule_based.hpp"
 
 using namespace rtad;
 
-int main() {
+namespace {
+
+int run() {
   std::cout << "ABLATION: RULE-BASED (whitelist/CFI) vs LEARNING-BASED "
                "DETECTION (458.sjeng)\n\n";
   const auto& profile = workloads::find_profile("sjeng");
@@ -85,3 +88,7 @@ int main() {
                "API addresses) that motivates learning-based detection.\n";
   return replay_hits * 100 <= trials ? 0 : 1;  // <= 1% by construction
 }
+
+}  // namespace
+
+int main() { return bench::run("ablation_rule_based", run); }

@@ -3,6 +3,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/sim/stats.hpp"
@@ -10,7 +11,9 @@
 using namespace rtad;
 using cpu::InstrumentationMode;
 
-int main() {
+namespace {
+
+int run() {
   std::cout << "FIG. 6: PERFORMANCE OVERHEAD OF RTAD (% over Baseline)\n\n";
 
   const std::vector<InstrumentationMode> modes = {
@@ -50,3 +53,7 @@ int main() {
   std::cout << "\nShape check: RTAD << SW_SYS < SW_FUNC < SW_ALL\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("fig6_overhead", run); }

@@ -5,12 +5,15 @@
 // decode, IGM vector generation, MCM TX into ML-MIAOW memory).
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/report.hpp"
 
 using namespace rtad;
 
-int main() {
+namespace {
+
+int run() {
   std::cout << "FIG. 7: DATA TRANSFER LATENCY (us)\n\n";
 
   const auto sw = core::sw_transfer_breakdown(32);
@@ -46,3 +49,7 @@ int main() {
                "cycles)\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("fig7_transfer", run); }

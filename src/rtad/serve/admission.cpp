@@ -21,25 +21,13 @@ sim::Picoseconds retry_backoff_ps(std::uint64_t seed, std::uint64_t ticket,
   return (backoff_us + jitter.uniform_below(base_us)) * sim::kPsPerUs;
 }
 
-namespace {
-
-AdmissionConfig resolve(AdmissionConfig cfg) {
-  if (cfg.degrade_watermark == 0) {
-    cfg.degrade_watermark = std::max<std::size_t>(1, cfg.queue_capacity / 2);
-  }
-  return cfg;
-}
-
-}  // namespace
-
-AdmissionController::AdmissionController(AdmissionConfig cfg)
-    : cfg_(resolve(cfg)),
-      queue_(cfg_.queue_capacity, sim::DropPolicy::kDropNew) {}
+AdmissionController::AdmissionController(const ServiceConfig& cfg)
+    : cfg_(cfg), queue_(cfg_.queue_capacity, sim::DropPolicy::kDropNew) {}
 
 AdmissionController::Verdict AdmissionController::offer(SessionRequest req) {
   ++offered_;
   const bool degrade = cfg_.policy == OverloadPolicy::kDegrade &&
-                       queue_.size() >= cfg_.degrade_watermark;
+                       queue_.size() >= degrade_watermark();
   if (degrade) req.degraded = true;
   if (!queue_.try_push(std::move(req))) {
     // Post-decision depth: a shed arrival saw (and records) the full queue.

@@ -20,41 +20,17 @@
 // under-reported by one everywhere and could never observe a full queue.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 
+#include "rtad/serve/config.hpp"
 #include "rtad/serve/tenant.hpp"
 #include "rtad/sim/fifo.hpp"
 #include "rtad/sim/stats.hpp"
 
 namespace rtad::serve {
-
-enum class OverloadPolicy : std::uint8_t {
-  kShed,     ///< drop newest when full (Fifo kDropNew)
-  kDegrade,  ///< above the watermark, admit but downgrade to the ELM model
-};
-
-constexpr const char* overload_policy_name(OverloadPolicy p) noexcept {
-  return p == OverloadPolicy::kShed ? "shed" : "degrade";
-}
-
-struct AdmissionConfig {
-  std::size_t queue_capacity = 8;
-  OverloadPolicy policy = OverloadPolicy::kShed;
-  /// Occupancy (inclusive) at which kDegrade starts downgrading admitted
-  /// sessions. 0 resolves to max(1, queue_capacity / 2).
-  std::size_t degrade_watermark = 0;
-  /// Re-offers granted to a refused request before it finally sheds. The
-  /// default 0 keeps the legacy one-shot drop (and the legacy byte-identity
-  /// surface); the shard owns the clock, so it schedules the re-offer at
-  /// refusal time + retry_delay().
-  std::size_t retry_budget = 0;
-  /// Exponential backoff base for re-offers, simulated microseconds.
-  std::uint64_t retry_base_us = 500;
-  /// Stream seed for the per-(ticket, attempt) backoff jitter.
-  std::uint64_t retry_seed = 0x5EEDD;
-};
 
 /// Deterministic seeded-jitter backoff: exponential in the attempt number
 /// (capped), plus a jitter drawn from a stream keyed by (seed, ticket,
@@ -76,7 +52,9 @@ class AdmissionController {
     kShed,
   };
 
-  explicit AdmissionController(AdmissionConfig cfg);
+  /// Reads queue_capacity, policy, retry_budget, retry_base_us and
+  /// fault_seed (the retry-jitter stream seed).
+  explicit AdmissionController(const ServiceConfig& cfg);
 
   /// Offer a request at its arrival instant. Samples queue depth, applies
   /// the overload policy, and enqueues unless the verdict is kShed.
@@ -96,13 +74,17 @@ class AdmissionController {
   /// Backoff for the request's next re-offer (attempt numbers start at 1).
   sim::Picoseconds retry_delay(std::uint64_t ticket,
                                std::size_t attempt) const {
-    return retry_backoff_ps(cfg_.retry_seed, ticket, attempt,
+    return retry_backoff_ps(cfg_.fault_seed, ticket, attempt,
                             cfg_.retry_base_us);
   }
   /// Count one scheduled re-offer (the serve.sessions_retried counter).
   void record_retry() noexcept { ++retried_; }
 
-  const AdmissionConfig& config() const noexcept { return cfg_; }
+  /// Occupancy (inclusive) at which kDegrade starts downgrading admitted
+  /// sessions: half the queue, at least 1.
+  std::size_t degrade_watermark() const noexcept {
+    return std::max<std::size_t>(1, cfg_.queue_capacity / 2);
+  }
   std::uint64_t offered() const noexcept { return offered_; }
   std::uint64_t admitted() const noexcept { return admitted_; }
   std::uint64_t shed() const noexcept { return shed_; }
@@ -117,7 +99,7 @@ class AdmissionController {
   }
 
  private:
-  AdmissionConfig cfg_;
+  ServiceConfig cfg_;
   sim::Fifo<SessionRequest> queue_;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;

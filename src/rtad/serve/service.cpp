@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <future>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "rtad/core/env.hpp"
-#include "rtad/fault/fault_plan.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/telemetry/query.hpp"
 
@@ -41,6 +41,36 @@ ServiceConfig ServiceConfig::from_env() {
   cfg.telemetry = telemetry::StoreConfig::from_env();
   cfg.ensemble = core::EnsembleParams::from_env();
   return cfg;
+}
+
+void FleetCounters::merge(const FleetCounters& o) {
+  sessions_offered += o.sessions_offered;
+  sessions_admitted += o.sessions_admitted;
+  sessions_degraded += o.sessions_degraded;
+  degraded_inferences += o.degraded_inferences;
+  sessions_completed += o.sessions_completed;
+  sessions_pft += o.sessions_pft;
+  sessions_etrace += o.sessions_etrace;
+  queue_depth.merge(o.queue_depth);
+  queue_high_watermark = std::max(queue_high_watermark, o.queue_high_watermark);
+  shard_crashes += o.shard_crashes;
+  lane_wedges += o.lane_wedges;
+  brownout_refusals += o.brownout_refusals;
+  sessions_recovered += o.sessions_recovered;
+  sessions_parked += o.sessions_parked;
+  sessions_retried += o.sessions_retried;
+  queue_flushed += o.queue_flushed;
+  checkpoints += o.checkpoints;
+  checkpoint_evictions += o.checkpoint_evictions;
+  recovery_replay_ps += o.recovery_replay_ps;
+  parked_bytes_hwm = std::max(parked_bytes_hwm, o.parked_bytes_hwm);
+  checkpoint_bytes.merge(o.checkpoint_bytes);
+  evicted_blob_bytes.merge(o.evicted_blob_bytes);
+  recovery_latency_us.merge(o.recovery_latency_us);
+  ensemble_swaps += o.ensemble_swaps;
+  consensus_flags += o.consensus_flags;
+  consensus_overrides += o.consensus_overrides;
+  member_evals += o.member_evals;
 }
 
 std::size_t failover_target(std::size_t from_shard,
@@ -92,6 +122,9 @@ Service::Service(ServiceConfig cfg,
       cache_(cache ? std::move(cache)
                    : std::make_shared<core::TrainedModelCache>()),
       pool_(jobs) {
+  if (cfg_.quantum_ps == 0) {
+    throw std::invalid_argument("Service: quantum_ps must be nonzero");
+  }
   if (cfg_.shards == 0) cfg_.shards = 1;
   if (cfg_.ensemble.active()) {
     generations_ = std::make_unique<core::GenerationCache>(
@@ -116,25 +149,11 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
     }
   }
 
-  ShardConfig scfg;
-  scfg.lanes = cfg_.lanes;
-  scfg.admission.queue_capacity = cfg_.queue_capacity;
-  scfg.admission.policy = cfg_.policy;
-  scfg.admission.retry_budget = cfg_.retry_budget;
-  scfg.admission.retry_base_us = cfg_.retry_base_us;
-  scfg.admission.retry_seed = cfg_.fault_seed;
-  scfg.quantum_ps = cfg_.quantum_ps;
-  scfg.detection = cfg_.detection;
-  scfg.serve_faults = cfg_.serve_faults;
-  scfg.fault_seed = cfg_.fault_seed;
-  scfg.checkpoint_every = cfg_.checkpoint_every;
-  scfg.checkpoint_cap_bytes = cfg_.checkpoint_cap_kb * 1024;
-  scfg.ensemble = cfg_.ensemble;
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     shards.push_back(
-        std::make_unique<Shard>(s, scfg, cache_, generations_.get()));
+        std::make_unique<Shard>(s, cfg_, cache_, generations_.get()));
   }
   for (auto& req : requests) {
     shards[shard_of(req.tenant)]->enqueue(std::move(req));
@@ -157,14 +176,12 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
     for (auto& shard : shards) {
       futures.push_back(pool_.submit([&s = *shard] { return s.run(); }));
     }
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      auto outcomes = futures[s].get();
-      for (auto& o : outcomes) rep.outcomes.push_back(std::move(o));
-    }
     std::vector<FailoverItem> orphans;
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      auto items = shards[s]->take_failover();
-      for (auto& item : items) orphans.push_back(std::move(item));
+      for (auto& o : futures[s].get()) rep.outcomes.push_back(std::move(o));
+      for (auto& item : shards[s]->take_failover()) {
+        orphans.push_back(std::move(item));
+      }
     }
     if (orphans.empty()) break;
     if (round + 1 >= kMaxRounds) {
@@ -225,37 +242,7 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
     rep.retrain_wall_ns = generations_->retrain_wall_ns();
   }
 
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const ShardStats& st = shards[s]->stats();
-    rep.sessions_offered += st.offered;
-    rep.sessions_admitted += st.admitted;
-    rep.sessions_degraded += st.degraded;
-    rep.degraded_inferences += st.degraded_inferences;
-    rep.sessions_completed += st.completed;
-    rep.sessions_pft += st.completed_pft;
-    rep.sessions_etrace += st.completed_etrace;
-    rep.queue_depth.merge(st.queue_depth);
-    rep.queue_high_watermark =
-        std::max(rep.queue_high_watermark, st.queue_high_watermark);
-    rep.shard_crashes += st.crashes;
-    rep.lane_wedges += st.wedges;
-    rep.brownout_refusals += st.brownout_refusals;
-    rep.sessions_recovered += st.recovered;
-    rep.sessions_parked += st.parked;
-    rep.sessions_retried += st.retried;
-    rep.queue_flushed += st.queue_flushed;
-    rep.checkpoints += st.checkpoints;
-    rep.checkpoint_evictions += st.checkpoint_evictions;
-    rep.recovery_replay_ps += st.replay_ps;
-    rep.parked_bytes_hwm = std::max(rep.parked_bytes_hwm, st.parked_bytes_hwm);
-    rep.checkpoint_bytes.merge(st.checkpoint_bytes);
-    rep.evicted_blob_bytes.merge(st.evicted_blob_bytes);
-    rep.recovery_latency_us.merge(st.recovery_latency_us);
-    rep.ensemble_swaps += st.ensemble_swaps;
-    rep.consensus_flags += st.consensus_flags;
-    rep.consensus_overrides += st.consensus_overrides;
-    rep.member_evals += st.member_evals;
-  }
+  for (const auto& shard : shards) rep.merge(shard->counters());
 
   // Fleet telemetry: harvest every shard's committed records in shard-index
   // order, canonicalize, and ingest into one store. The sort key is the

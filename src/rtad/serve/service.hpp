@@ -49,65 +49,6 @@ class JsonWriter;
 
 namespace rtad::serve {
 
-/// How the fleet assigns trace protocols to tenants.
-enum class FleetProtocol : std::uint8_t {
-  kPft,     ///< every tenant's frontend speaks PFT
-  kEtrace,  ///< every tenant's frontend speaks E-Trace
-  kMixed,   ///< per-tenant: a stable tenant-hash bit picks the protocol
-};
-
-const char* fleet_protocol_name(FleetProtocol proto) noexcept;
-
-struct ServiceConfig {
-  std::size_t shards = 2;
-  std::size_t lanes = 2;  ///< per shard
-  std::size_t queue_capacity = 8;
-  OverloadPolicy policy = OverloadPolicy::kShed;
-  sim::Picoseconds quantum_ps = 2 * sim::kPsPerMs;
-  /// Fleet-wide trace-protocol assignment, applied to every request before
-  /// routing. Defaults to the process protocol so a plain service follows
-  /// RTAD_TRACE_PROTO; kMixed simulates a heterogeneous host fleet.
-  FleetProtocol proto = trace::default_trace_protocol() ==
-                                trace::TraceProtocol::kEtrace
-                            ? FleetProtocol::kEtrace
-                            : FleetProtocol::kPft;
-  /// Base detection options shared by every episode (see ShardConfig).
-  core::DetectionOptions detection{};
-
-  // --- failure domain (PR 8) ---
-  /// Fleet-level fault sites (inactive by default — the fleet then runs
-  /// the legacy single-round path, byte-identical to PR 7). from_env()
-  /// adopts the serve.* keys of the process RTAD_FAULTS plan.
-  fault::ServeFaultPlan serve_faults{};
-  std::uint64_t fault_seed = 0xFA017;  ///< per-(site, shard) stream base
-  std::size_t retry_budget = 0;        ///< re-offers per refused request
-  std::uint64_t retry_base_us = 500;   ///< backoff base (simulated us)
-  std::uint64_t checkpoint_every = 8;  ///< quanta between periodic blobs
-  std::uint64_t checkpoint_cap_kb = 0; ///< parked-byte cap per shard (KiB)
-  /// Busy-horizon gap (hot shard vs coolest) above which a failover
-  /// re-offer migrates to the coolest shard instead of its ring target.
-  sim::Picoseconds rebalance_gap_ps = 40'000 * sim::kPsPerUs;
-  /// Simulated cost of moving one parked blob between shards.
-  sim::Picoseconds migrate_ps = 200 * sim::kPsPerUs;
-
-  /// Fleet telemetry store shape (page size, byte cap, spill path). The
-  /// store itself lives on the ServiceReport; ingestion is always on.
-  telemetry::StoreConfig telemetry{};
-
-  /// Rolling-ensemble shape applied to every tenant session (PR 10).
-  /// from_env() resolves the RTAD_ENSEMBLE_* knobs; inactive by default —
-  /// the fleet then runs byte-identical to the pre-ensemble service.
-  /// base_ps is ignored here: each shard stamps it per request with the
-  /// origin arrival, anchoring the retrain cadence to the fleet clock.
-  core::EnsembleParams ensemble{};
-
-  /// Resolve the RTAD_SERVE_{POLICY,RETRY,CHECKPOINT_CAP_KB} knobs
-  /// plus the serve.* RTAD_FAULTS keys, RTAD_TELEMETRY* and RTAD_ENSEMBLE_*
-  /// (strict grammar; throws on malformed values). Every other field keeps
-  /// the default above; set it in code.
-  static ServiceConfig from_env();
-};
-
 /// One shard's load snapshot at the failover round barrier.
 struct ShardHeat {
   sim::Picoseconds horizon = 0;     ///< latest instant any lane is booked to
@@ -145,54 +86,24 @@ struct ClassSlo {
   sim::Sampler sojourn_us;
 };
 
-struct ServiceReport {
+/// The fleet's fate for one run(): every session's outcome, the per-class
+/// SLOs, and the shard counters merged in shard-index order (worker-count
+/// stable) plus the few counters only the Service can see.
+struct ServiceReport : FleetCounters {
   /// Every offered session's fate, in submission (ticket) order.
   std::vector<SessionOutcome> outcomes;
   ClassSlo interactive;
   ClassSlo batch;
-  // Fleet health (sums over shards; shard order, so worker-count stable).
-  std::uint64_t sessions_offered = 0;
-  std::uint64_t sessions_admitted = 0;
+  /// Shed sessions, counted from the outcomes (a retried request can be
+  /// refused several times but sheds at most once).
   std::uint64_t sessions_shed = 0;
-  std::uint64_t sessions_degraded = 0;
-  std::uint64_t degraded_inferences = 0;
-  std::uint64_t sessions_completed = 0;
-  /// Completed sessions by frontend protocol (sums to sessions_completed).
-  std::uint64_t sessions_pft = 0;
-  std::uint64_t sessions_etrace = 0;
-  sim::Sampler queue_depth;  ///< merged shard ingress depth samples
-  std::size_t queue_high_watermark = 0;
-
-  // --- failure domain (all zero when no serve fault site is active) ---
-  std::uint64_t shard_crashes = 0;
-  std::uint64_t lane_wedges = 0;
-  std::uint64_t brownout_refusals = 0;
-  std::uint64_t sessions_recovered = 0;
-  std::uint64_t sessions_parked = 0;
-  std::uint64_t sessions_retried = 0;
-  std::uint64_t queue_flushed = 0;
   std::uint64_t migrations = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t checkpoint_evictions = 0;
   std::uint64_t failover_rounds = 0;  ///< extra rounds beyond the first
-  /// Simulated time re-executed by restores (serve.recovery_replay_ps).
-  sim::Picoseconds recovery_replay_ps = 0;
-  /// Deepest parked-blob byte footprint of any shard — the fleet's
-  /// bounded-memory story in one number.
-  std::uint64_t parked_bytes_hwm = 0;
-  sim::Sampler checkpoint_bytes;     ///< every blob serialized, fleet-wide
-  sim::Sampler evicted_blob_bytes;   ///< blob sizes the store caps shed
-  sim::Sampler recovery_latency_us;  ///< orphaned → restored-start gap
 
-  // --- rolling ensemble (all zero when cfg.ensemble is inactive). The
-  // counters are harvested after the generation cache's drain(), so they are
-  // byte-identical across worker counts. retrain_wall_ns is the one
-  // host-dependent number: it never reaches the JSON document — benches
-  // report it in their trailing host section. ---
-  std::uint64_t ensemble_swaps = 0;
-  std::uint64_t consensus_flags = 0;
-  std::uint64_t consensus_overrides = 0;
-  std::uint64_t member_evals = 0;
+  // --- rolling ensemble: the generation cache's census, harvested after
+  // its drain(), so byte-identical across worker counts. retrain_wall_ns is
+  // the one host-dependent number: it never reaches the JSON document —
+  // benches report it in their trailing host section. ---
   std::uint64_t generations_trained = 0;
   std::uint64_t retrain_work_units = 0;  ///< samples/windows consumed
   std::uint64_t retrain_wall_ns = 0;     ///< host wall clock, off-document
@@ -211,7 +122,9 @@ class Service {
  public:
   /// `jobs == 0` resolves via RTAD_JOBS. Pass a cache to share trained
   /// models across services (the bench sweeps several offered loads on one
-  /// cache so each benchmark trains exactly once).
+  /// cache so each benchmark trains exactly once). Throws
+  /// std::invalid_argument when cfg.quantum_ps is zero (advance(0) makes
+  /// no progress, so no lane could ever finish a session).
   explicit Service(ServiceConfig cfg,
                    std::shared_ptr<core::TrainedModelCache> cache = {},
                    std::size_t jobs = 0);

@@ -23,15 +23,15 @@ struct RetryLater {
 
 }  // namespace
 
-Shard::Shard(std::size_t id, ShardConfig cfg,
+Shard::Shard(std::size_t id, const ServiceConfig& cfg,
              std::shared_ptr<core::TrainedModelCache> cache,
              core::GenerationCache* generations)
     : id_(id),
-      cfg_(std::move(cfg)),
+      cfg_(cfg),
       cache_(std::move(cache)),
       generations_(generations),
-      admission_(cfg_.admission),
-      store_(cfg_.checkpoint_cap_bytes) {
+      admission_(cfg_),
+      store_(cfg_.checkpoint_cap_kb * 1024) {
   if (cfg_.ensemble.active() && generations_ == nullptr) {
     throw std::invalid_argument(
         "Shard: active ensemble config requires a GenerationCache");
@@ -41,64 +41,45 @@ Shard::Shard(std::size_t id, ShardConfig cfg,
   if (cfg_.serve_faults.any()) {
     fault_sched_ = build_shard_schedule(cfg_.serve_faults, cfg_.fault_seed,
                                         id_, cfg_.lanes);
-    crash_fired_.assign(fault_sched_.crashes.size(), false);
     wedge_fired_.assign(fault_sched_.wedges.size(), false);
   }
   if (cfg_.checkpoint_every == 0) cfg_.checkpoint_every = 1;
 }
 
-sim::Picoseconds Shard::next_fault_event() const noexcept {
-  sim::Picoseconds next = kNever;
-  for (std::size_t c = 0; c < fault_sched_.crashes.size(); ++c) {
-    if (!crash_fired_[c]) {
-      next = std::min(next, fault_sched_.crashes[c]);
-      break;  // sorted
-    }
+sim::Picoseconds Shard::next_crash() const noexcept {
+  return crashes_fired_ < fault_sched_.crashes.size()
+             ? fault_sched_.crashes[crashes_fired_]
+             : kNever;
+}
+
+std::size_t Shard::next_wedge(std::size_t lane) const noexcept {
+  std::size_t w = 0;
+  while (w < fault_sched_.wedges.size() &&
+         (wedge_fired_[w] ||
+          (lane != kAnyLane && fault_sched_.wedges[w].lane != lane))) {
+    ++w;
   }
-  for (std::size_t w = 0; w < fault_sched_.wedges.size(); ++w) {
-    if (!wedge_fired_[w]) {
-      next = std::min(next, fault_sched_.wedges[w].at);
-      break;  // sorted
-    }
-  }
-  return next;
+  return w;
+}
+
+sim::Picoseconds Shard::wedge_at(std::size_t w) const noexcept {
+  return w < fault_sched_.wedges.size() ? fault_sched_.wedges[w].at : kNever;
 }
 
 void Shard::fire_fault_event() {
-  std::size_t ci = fault_sched_.crashes.size();
-  for (std::size_t c = 0; c < fault_sched_.crashes.size(); ++c) {
-    if (!crash_fired_[c]) {
-      ci = c;
-      break;
-    }
-  }
-  std::size_t wi = fault_sched_.wedges.size();
-  for (std::size_t w = 0; w < fault_sched_.wedges.size(); ++w) {
-    if (!wedge_fired_[w]) {
-      wi = w;
-      break;
-    }
-  }
-  const sim::Picoseconds tc =
-      ci < fault_sched_.crashes.size() ? fault_sched_.crashes[ci] : kNever;
-  const sim::Picoseconds tw =
-      wi < fault_sched_.wedges.size() ? fault_sched_.wedges[wi].at : kNever;
-
-  if (tc <= tw) {
+  const sim::Picoseconds tc = next_crash();
+  const std::size_t wi = next_wedge(kAnyLane);
+  if (tc <= wedge_at(wi)) {
     // Whole-shard crash: everything waiting in the ingress queue dies with
     // the shard (no progress to save — they were never dispatched) and
     // every lane is down for the downtime. In-flight sessions were already
     // orphaned by their own dispatch when it hit this instant.
-    crash_fired_[ci] = true;
-    ++stats_.crashes;
+    ++crashes_fired_;
+    ++counters_.shard_crashes;
     while (auto queued = admission_.next()) {
-      ++stats_.queue_flushed;
-      FailoverItem item;
-      item.request = std::move(*queued);
-      ++item.request.attempts;
-      item.orphaned_ps = tc;
-      item.from_shard = id_;
-      failover_.push_back(std::move(item));
+      ++counters_.queue_flushed;
+      ++queued->attempts;
+      failover_.push_back({std::move(*queued), {}, tc, id_});
     }
     for (auto& free_at : lane_free_at_) {
       free_at = std::max(free_at, tc + fault_sched_.crash_downtime_ps);
@@ -109,9 +90,9 @@ void Shard::fire_fault_event() {
     // Idle-lane wedge (a wedge hitting a busy lane is consumed by that
     // dispatch instead): the lane is simply unavailable for a while.
     wedge_fired_[wi] = true;
-    ++stats_.wedges;
+    ++counters_.lane_wedges;
     auto& free_at = lane_free_at_[fault_sched_.wedges[wi].lane];
-    free_at = std::max(free_at, tw + fault_sched_.wedge_ps);
+    free_at = std::max(free_at, wedge_at(wi) + fault_sched_.wedge_ps);
   }
 }
 
@@ -162,7 +143,7 @@ std::vector<SessionOutcome> Shard::run() {
             : kNever;
 
     const sim::Picoseconds t_fault =
-        fault_sched_.empty() ? kNever : next_fault_event();
+        std::min(next_crash(), wedge_at(next_wedge(kAnyLane)));
     if (!admission_.empty()) {
       // Earliest-free lane; lowest index breaks ties so placement is a
       // pure function of the arrival schedule.
@@ -200,61 +181,34 @@ std::vector<SessionOutcome> Shard::run() {
       req = staged_[i];
       ++i;
     }
-    if (fault_sched_.in_brownout(req.arrival_ps)) {
+    const sim::Picoseconds offered_at = req.arrival_ps;
+    if (fault_sched_.in_brownout(offered_at)) {
       // Admission brownout: the door refuses the offer outright; the
       // request is entitled to its retry budget like any refusal.
-      ++stats_.brownout_refusals;
-      const sim::Picoseconds refused_at = req.arrival_ps;
-      retry_or_shed(std::move(req), refused_at, out);
-      continue;
-    }
-    const sim::Picoseconds offered_at = req.arrival_ps;
-    if (admission_.offer(req) == AdmissionController::Verdict::kShed) {
+      ++counters_.brownout_refusals;
+      retry_or_shed(std::move(req), offered_at, out);
+    } else if (admission_.offer(req) == AdmissionController::Verdict::kShed) {
       retry_or_shed(std::move(req), offered_at, out);
     }
   }
 
   // Harvest by assignment: admission/store state persists across failover
   // rounds, so the counters are cumulative and the last run() wins.
-  stats_.offered = admission_.offered();
-  stats_.admitted = admission_.admitted();
-  stats_.shed = admission_.shed();
-  stats_.degraded = admission_.degraded();
-  stats_.retried = admission_.retried();
-  stats_.queue_depth = admission_.depth_seen();
-  stats_.queue_high_watermark = admission_.high_watermark();
-  stats_.checkpoint_evictions = store_.evictions();
-  stats_.parked_bytes_hwm = store_.bytes_high_watermark();
-  stats_.evicted_blob_bytes = store_.evicted_blob_bytes();
-
-  std::sort(out.begin(), out.end(),
-            [](const SessionOutcome& a, const SessionOutcome& b) {
-              return a.request.ticket < b.request.ticket;
-            });
+  counters_.sessions_offered = admission_.offered();
+  counters_.sessions_admitted = admission_.admitted();
+  counters_.sessions_degraded = admission_.degraded();
+  counters_.sessions_retried = admission_.retried();
+  counters_.queue_depth = admission_.depth_seen();
+  counters_.queue_high_watermark = admission_.high_watermark();
+  counters_.checkpoint_evictions = store_.evictions();
+  counters_.parked_bytes_hwm = store_.bytes_high_watermark();
+  counters_.evicted_blob_bytes = store_.evicted_blob_bytes();
   staged_.clear();
   return out;
 }
 
-std::vector<TelemetryRecord> Shard::take_telemetry() {
-  return std::exchange(telemetry_, {});
-}
-
-std::vector<FailoverItem> Shard::take_failover() {
-  std::sort(failover_.begin(), failover_.end(),
-            [](const FailoverItem& a, const FailoverItem& b) {
-              return a.orphaned_ps != b.orphaned_ps
-                         ? a.orphaned_ps < b.orphaned_ps
-                         : a.request.ticket < b.request.ticket;
-            });
-  return std::exchange(failover_, {});
-}
-
 sim::Picoseconds Shard::horizon() const noexcept {
-  sim::Picoseconds h = 0;
-  for (const sim::Picoseconds free_at : lane_free_at_) {
-    h = std::max(h, free_at);
-  }
-  return h;
+  return *std::max_element(lane_free_at_.begin(), lane_free_at_.end());
 }
 
 void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
@@ -306,12 +260,13 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
       session = core::DetectionSession::restore(ckpt, profile, models,
                                                 generations_);
       recovered = true;
-      ++stats_.recovered;
-      stats_.replay_ps += session->replayed_ps();
+      ++counters_.sessions_recovered;
+      counters_.recovery_replay_ps += session->replayed_ps();
       ran_degraded = ckpt.model == core::ModelKind::kElm &&
                      req.model != core::ModelKind::kElm;
     }
-    stats_.recovery_latency_us.record(sim::to_us(start - parked->parked_at));
+    counters_.recovery_latency_us.record(
+        sim::to_us(start - parked->parked_at));
   }
   if (!session) {
     session = std::make_unique<core::DetectionSession>(
@@ -320,28 +275,13 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
   const sim::Picoseconds base = session->now();
 
   // First fault event that can interrupt this run: the next unfired crash,
-  // or the next unfired wedge on this lane. The main loop fires events
-  // preceding the dispatch, so every unfired event is strictly after
-  // `start`.
-  sim::Picoseconds interrupt_at = kNever;
-  bool interrupt_is_crash = false;
-  std::size_t interrupt_wedge = fault_sched_.wedges.size();
-  for (std::size_t c = 0; c < fault_sched_.crashes.size(); ++c) {
-    if (!crash_fired_[c]) {
-      interrupt_at = fault_sched_.crashes[c];
-      interrupt_is_crash = true;
-      break;
-    }
-  }
-  for (std::size_t w = 0; w < fault_sched_.wedges.size(); ++w) {
-    if (!wedge_fired_[w] && fault_sched_.wedges[w].lane == lane &&
-        fault_sched_.wedges[w].at < interrupt_at) {
-      interrupt_at = fault_sched_.wedges[w].at;
-      interrupt_is_crash = false;
-      interrupt_wedge = w;
-      break;
-    }
-  }
+  // or the next unfired wedge on this lane if it comes first. The main loop
+  // fires events preceding the dispatch, so every unfired event is strictly
+  // after `start`.
+  const std::size_t wedge = next_wedge(lane);
+  const bool interrupt_is_crash = wedge_at(wedge) >= next_crash();
+  const sim::Picoseconds interrupt_at =
+      interrupt_is_crash ? next_crash() : wedge_at(wedge);
 
   // Drive the session. Under an interruptible window, serialize a periodic
   // checkpoint so a fault loses at most checkpoint_every quanta of work —
@@ -381,57 +321,49 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
     staged_telemetry.clear();
   };
 
+  // Without an interrupt ahead there is nothing to checkpoint against, and
+  // fleet time never reaches kNever, so the loop simply runs to completion.
+  const bool interruptible = interrupt_at != kNever;
   std::vector<std::uint8_t> last_blob;
-  if (interrupt_at != kNever) {
+  const auto checkpoint = [&] {
     last_blob = session->checkpoint().serialize();
-    ++stats_.checkpoints;
-    stats_.checkpoint_bytes.record(static_cast<double>(last_blob.size()));
-  }
+    ++counters_.checkpoints;
+    counters_.checkpoint_bytes.record(static_cast<double>(last_blob.size()));
+  };
+  if (interruptible) checkpoint();
   std::uint64_t since_ckpt = 0;
   bool interrupted = false;
   while (!session->done()) {
-    ++stats_.quanta;
     const bool more = session->advance(cfg_.quantum_ps);
-    if (interrupt_at != kNever) {
-      const sim::Picoseconds fleet_now = start + (session->now() - base);
-      if (fleet_now >= interrupt_at) {
-        // Work past the last checkpoint dies with the fault — its staged
-        // samples with it (the restore will re-emit them byte-identically).
-        interrupted = true;
-        break;
-      }
-      stage_sample();
-      if (more && ++since_ckpt >= cfg_.checkpoint_every) {
-        since_ckpt = 0;
-        last_blob = session->checkpoint().serialize();
-        ++stats_.checkpoints;
-        stats_.checkpoint_bytes.record(static_cast<double>(last_blob.size()));
-        commit_telemetry();
-      }
-    } else {
-      stage_sample();
+    if (start + (session->now() - base) >= interrupt_at) {
+      // Work past the last checkpoint dies with the fault — its staged
+      // samples with it (the restore will re-emit them byte-identically).
+      interrupted = true;
+      break;
+    }
+    stage_sample();
+    if (interruptible && more && ++since_ckpt >= cfg_.checkpoint_every) {
+      since_ckpt = 0;
+      checkpoint();
+      commit_telemetry();
     }
     if (!more) break;
   }
 
   if (interrupted) {
-    ++stats_.parked;
+    ++counters_.sessions_parked;
     ++req.attempts;
     if (interrupt_is_crash) {
       // The crash's shard-wide effects (queue flush, downtime) fire via
       // the main-loop cursor; here the lane just loses its session. It
       // must restore elsewhere — this shard is going down.
-      FailoverItem item;
-      item.request = std::move(req);
-      item.blob = std::move(last_blob);
-      item.orphaned_ps = interrupt_at;
-      item.from_shard = id_;
-      failover_.push_back(std::move(item));
+      failover_.push_back(
+          {std::move(req), std::move(last_blob), interrupt_at, id_});
       lane_free_at_[lane] = interrupt_at;
     } else {
       // Wedge: the shard survives, so park locally and re-offer here.
-      wedge_fired_[interrupt_wedge] = true;
-      ++stats_.wedges;
+      wedge_fired_[wedge] = true;
+      ++counters_.lane_wedges;
       lane_free_at_[lane] = interrupt_at + fault_sched_.wedge_ps;
       store_.put(req.ticket, std::move(last_blob), interrupt_at);
       admission_.record_retry();
@@ -454,17 +386,17 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
   o.sojourn_ps = o.completion_ps - o.request.origin_arrival_ps;
   o.detection = session->result();
   lane_free_at_[lane] = o.completion_ps;
-  ++stats_.completed;
+  ++counters_.sessions_completed;
   if (o.request.proto == trace::TraceProtocol::kEtrace) {
-    ++stats_.completed_etrace;
+    ++counters_.sessions_etrace;
   } else {
-    ++stats_.completed_pft;
+    ++counters_.sessions_pft;
   }
-  if (o.degraded) stats_.degraded_inferences += o.detection.inferences;
-  stats_.ensemble_swaps += o.detection.ensemble_swaps;
-  stats_.consensus_flags += o.detection.consensus_flags;
-  stats_.consensus_overrides += o.detection.consensus_overrides;
-  stats_.member_evals += o.detection.member_evals;
+  if (o.degraded) counters_.degraded_inferences += o.detection.inferences;
+  counters_.ensemble_swaps += o.detection.ensemble_swaps;
+  counters_.consensus_flags += o.detection.consensus_flags;
+  counters_.consensus_overrides += o.detection.consensus_overrides;
+  counters_.member_evals += o.detection.member_evals;
   out.push_back(std::move(o));
 }
 

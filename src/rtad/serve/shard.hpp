@@ -20,7 +20,7 @@
 //     quantized: chunked advancement retires the identical run, so results
 //     are invariant to the quantum.
 //
-// The shard is also a fault domain (PR 8). When the ShardConfig carries an
+// The shard is also a fault domain. When the ServiceConfig carries an
 // active ServeFaultPlan, the shard builds its eager fault timeline
 // (fault_domain.hpp) and run() consumes it as a third event source,
 // interleaved with dispatches and arrivals in strict fleet-time order
@@ -47,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "rtad/core/experiment_runner.hpp"
@@ -95,85 +96,13 @@ struct FailoverItem {
   std::size_t from_shard = 0;
 };
 
-struct ShardConfig {
-  std::size_t lanes = 2;
-  AdmissionConfig admission{};
-  /// Simulated-time slice per advance() call when a lane drives a session.
-  sim::Picoseconds quantum_ps = 2 * sim::kPsPerMs;
-  /// Base options for every episode; seed/attacks/model come from the
-  /// request, and per-run trace/metrics exports are force-disabled (a fleet
-  /// of sessions racing on one RTAD_TRACE path helps nobody — the service
-  /// emits one aggregate rtad.serve.v1 document instead).
-  core::DetectionOptions detection{};
-  /// Fleet-level fault sites this shard is subject to (inactive by
-  /// default: no schedule is built and run() takes the legacy path).
-  fault::ServeFaultPlan serve_faults{};
-  std::uint64_t fault_seed = 0xFA017;  ///< seeds the (site, shard) streams
-  /// Quanta between periodic checkpoints while a session is in flight
-  /// under an active fault plan (a crash loses at most this much work).
-  std::uint64_t checkpoint_every = 8;
-  /// CheckpointStore byte cap (0 = unbounded).
-  std::uint64_t checkpoint_cap_bytes = 0;
-  /// Rolling-ensemble shape applied to every episode (base_ps is stamped
-  /// per request with its origin arrival, so the retrain cadence rides the
-  /// fleet clock and survives failover). Inactive by default — episodes
-  /// are then byte-identical to the pre-ensemble shard.
-  core::EnsembleParams ensemble{};
-};
-
-/// Aggregate shard health, harvested after run().
-struct ShardStats {
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t degraded = 0;            ///< sessions downgraded on admit
-  std::uint64_t degraded_inferences = 0; ///< inferences retired downgraded
-  std::uint64_t completed = 0;
-  /// Completed sessions by frontend protocol (sums to completed).
-  std::uint64_t completed_pft = 0;
-  std::uint64_t completed_etrace = 0;
-  /// advance() quanta issued. Host-side diagnostic only — it scales with
-  /// 1/quantum while all results stay identical, so it must never reach
-  /// the byte-identity surface.
-  std::uint64_t quanta = 0;
-  sim::Sampler queue_depth;  ///< depth seen by each arrival
-  std::size_t queue_high_watermark = 0;
-
-  // --- failure-domain accounting (all zero without an active plan) ---
-  std::uint64_t crashes = 0;            ///< crash events fired
-  std::uint64_t wedges = 0;             ///< wedge events fired
-  std::uint64_t brownout_refusals = 0;  ///< offers refused inside a window
-  std::uint64_t retried = 0;            ///< re-offers scheduled (all causes)
-  std::uint64_t queue_flushed = 0;      ///< queued sessions lost to crashes
-  std::uint64_t recovered = 0;          ///< sessions restored from a blob
-  std::uint64_t parked = 0;             ///< park events (orphan → blob)
-  std::uint64_t checkpoints = 0;        ///< blobs serialized (periodic+park)
-  std::uint64_t checkpoint_evictions = 0;
-  std::uint64_t parked_bytes_hwm = 0;   ///< CheckpointStore byte HWM
-  sim::Picoseconds replay_ps = 0;       ///< simulated time re-executed
-  sim::Sampler checkpoint_bytes;        ///< size of every blob serialized
-  sim::Sampler evicted_blob_bytes;      ///< blob sizes the store cap shed
-  sim::Sampler recovery_latency_us;     ///< orphaned → restored-start gap
-
-  // --- ensemble accounting (all zero without an active ensemble). Summed
-  // from completed episodes only, so a session that parks and recovers
-  // counts once, with its full replayed history. ---
-  std::uint64_t ensemble_swaps = 0;
-  std::uint64_t consensus_flags = 0;
-  std::uint64_t consensus_overrides = 0;
-  std::uint64_t member_evals = 0;
-};
-
 class Shard {
  public:
   /// `generations` may be null (required non-null when cfg.ensemble is
   /// active); not owned, must outlive the shard.
-  Shard(std::size_t id, ShardConfig cfg,
+  Shard(std::size_t id, const ServiceConfig& cfg,
         std::shared_ptr<core::TrainedModelCache> cache,
         core::GenerationCache* generations = nullptr);
-
-  std::size_t id() const noexcept { return id_; }
-  const ShardConfig& config() const noexcept { return cfg_; }
 
   /// Stage a request for the next run(). Requests may be staged in any
   /// order; run() replays them by (arrival_ps, ticket).
@@ -188,15 +117,17 @@ class Shard {
   }
 
   /// Replay the staged arrival schedule until queue, retries, and lanes
-  /// drain. Outcomes come back in ticket order (stable for the
-  /// service-level merge). Staged requests are consumed; admission/lane/
-  /// fault state persists, so the Service can stage failover re-offers and
-  /// call run() again — later rounds continue the same fleet timeline.
+  /// drain. Outcomes come back in decision order; the Service sorts the
+  /// merged fleet list by ticket. Staged requests are consumed; admission/
+  /// lane/fault state persists, so the Service can stage failover re-offers
+  /// and call run() again — later rounds continue the same fleet timeline.
   std::vector<SessionOutcome> run();
 
   /// Sessions lost to crashes since the last take (re-offer these
-  /// elsewhere). Ordered by (orphaned_ps, ticket).
-  std::vector<FailoverItem> take_failover();
+  /// elsewhere), in loss order; the Service sorts the merged list.
+  std::vector<FailoverItem> take_failover() {
+    return std::exchange(failover_, {});
+  }
 
   /// Busy horizon: the latest instant any lane is already committed to.
   /// The rebalancer uses this as the shard's heat.
@@ -213,13 +144,21 @@ class Shard {
   /// interrupts it — the restored session re-executes that work and
   /// re-emits the identical samples — so the stream a tenant keeps is
   /// exactly the stream a fault-free run would have produced.
-  std::vector<TelemetryRecord> take_telemetry();
+  std::vector<TelemetryRecord> take_telemetry() {
+    return std::exchange(telemetry_, {});
+  }
 
-  const ShardStats& stats() const noexcept { return stats_; }
+  /// This shard's health counters (cumulative across run() calls).
+  const FleetCounters& counters() const noexcept { return counters_; }
 
  private:
-  /// Next unfired crash/wedge event time (kNever when exhausted).
-  sim::Picoseconds next_fault_event() const noexcept;
+  /// Time of the next unfired crash (kNever when none remain).
+  sim::Picoseconds next_crash() const noexcept;
+  /// Index of the first unfired wedge on `lane`, or on any lane for
+  /// kAnyLane; wedges.size() when none remain.
+  std::size_t next_wedge(std::size_t lane) const noexcept;
+  /// Time of wedge `w` (kNever for the wedges.size() sentinel).
+  sim::Picoseconds wedge_at(std::size_t w) const noexcept;
   /// Fire the earliest unfired crash or wedge event (crash wins ties).
   void fire_fault_event();
   /// Re-offer a refused request after backoff, or emit a shed outcome once
@@ -231,8 +170,10 @@ class Shard {
   /// or the orphan.
   void dispatch(std::size_t lane, std::vector<SessionOutcome>& out);
 
+  static constexpr std::size_t kAnyLane = ~std::size_t{0};
+
   std::size_t id_;
-  ShardConfig cfg_;
+  ServiceConfig cfg_;
   std::shared_ptr<core::TrainedModelCache> cache_;
   core::GenerationCache* generations_ = nullptr;
   std::vector<SessionRequest> staged_;
@@ -241,12 +182,12 @@ class Shard {
   AdmissionController admission_;
   CheckpointStore store_;
   ShardFaultSchedule fault_sched_;
-  std::vector<bool> crash_fired_;
-  std::vector<bool> wedge_fired_;
+  std::size_t crashes_fired_ = 0;  ///< crashes fire in schedule order
+  std::vector<bool> wedge_fired_;  ///< busy lanes fire wedges out of order
   std::vector<FailoverItem> failover_;
   std::vector<TelemetryRecord> telemetry_;
   sim::Picoseconds down_until_ = 0;
-  ShardStats stats_;
+  FleetCounters counters_;
 };
 
 }  // namespace rtad::serve

@@ -61,10 +61,11 @@ struct SessionRequest {
   /// Set by admission control under the degrade policy: run the cheap
   /// model (ELM) instead of the requested one.
   bool degraded = false;
-  /// Trace protocol this tenant's SoC frontend speaks. The service assigns
-  /// it before routing (ServiceConfig::proto); heterogeneous fleets mix
-  /// PFT and E-Trace hosts behind one detection service.
-  trace::TraceProtocol proto = trace::default_trace_protocol();
+  /// Trace protocol this tenant's SoC frontend speaks. Service::run assigns
+  /// it from ServiceConfig::proto before routing, overwriting any caller
+  /// value; heterogeneous fleets mix PFT and E-Trace hosts behind one
+  /// detection service.
+  trace::TraceProtocol proto = trace::TraceProtocol::kPft;
 };
 
 /// FNV-1a over the tenant name (the same construction as the score digest:

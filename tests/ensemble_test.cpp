@@ -402,7 +402,7 @@ TEST(EnsembleServe, FleetCountersAreWorkerCountInvariant) {
 }
 
 TEST(EnsembleServe, ShardRefusesActiveEnsembleWithoutManager) {
-  serve::ShardConfig cfg;
+  serve::ServiceConfig cfg;
   cfg.ensemble = test_params();
   EXPECT_THROW(serve::Shard(0, cfg, shared_cache(), nullptr),
                std::invalid_argument);

@@ -261,6 +261,59 @@ TEST(Service, OutcomesComeBackInSubmissionOrderWithExactTimes) {
   EXPECT_EQ(report.interactive.completed + report.batch.completed, 5u);
 }
 
+TEST(Service, CrossShardMergeTakesMaxWatermarkAndSumsCompletions) {
+  // Both shards saturate: one lane each, a capacity-2 queue, and a burst of
+  // five simultaneous arrivals per shard (one dispatches, two queue, two
+  // shed). The fleet watermark is a max across shards, not a sum, and
+  // every completion is counted once per protocol and once per class.
+  auto cache = shared_cache();
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.lanes = 1;
+  cfg.queue_capacity = 2;
+  cfg.proto = FleetProtocol::kMixed;
+  cfg.detection.trace_path.clear();
+  cfg.detection.metrics_path.clear();
+
+  std::vector<SessionRequest> reqs;
+  for (std::size_t shard = 0; shard < cfg.shards; ++shard) {
+    std::vector<std::string> tenants;
+    for (int i = 0; tenants.size() < 2 && i < 64; ++i) {
+      const std::string t = "burst-" + std::to_string(i);
+      if (shard_for(t, cfg.shards) == shard) tenants.push_back(t);
+    }
+    ASSERT_EQ(tenants.size(), 2u);
+    for (std::size_t i = 0; i < 5; ++i) {
+      SessionRequest r;
+      r.tenant = tenants[i % 2];
+      r.cls = i % 2 == 0 ? TenantClass::kInteractive : TenantClass::kBatch;
+      r.benchmark = "astar";
+      r.model = core::ModelKind::kElm;
+      r.arrival_ps = 2 * sim::kPsPerMs;
+      r.seed = 17 + 31 * (i + 5 * shard);
+      r.attacks = 1;
+      reqs.push_back(std::move(r));
+    }
+  }
+
+  Service service(cfg, cache, 1);
+  const auto report = service.run(std::move(reqs));
+  std::vector<std::size_t> shed_per_shard(cfg.shards, 0);
+  for (const auto& o : report.outcomes) {
+    if (o.shed) ++shed_per_shard[shard_for(o.request.tenant, cfg.shards)];
+  }
+  for (std::size_t shard = 0; shard < cfg.shards; ++shard) {
+    EXPECT_GT(shed_per_shard[shard], 0u) << "shard " << shard;
+  }
+
+  EXPECT_EQ(report.queue_high_watermark, cfg.queue_capacity);
+  EXPECT_EQ(report.sessions_pft + report.sessions_etrace,
+            report.sessions_completed);
+  EXPECT_EQ(report.sessions_completed,
+            report.interactive.completed + report.batch.completed);
+  EXPECT_GT(report.sessions_completed, 0u);
+}
+
 TEST(Service, MixedFleetAssignsProtocolsByTenantHash) {
   auto cache = shared_cache();
 
@@ -350,8 +403,22 @@ TEST(Service, ForcedFleetProtocolOverridesRequests) {
   }
 }
 
+TEST(Service, RejectsZeroQuantum) {
+  // advance(0) makes no progress, so a zero quantum would spin a lane
+  // forever; the constructor refuses it and names the field.
+  ServiceConfig cfg;
+  cfg.quantum_ps = 0;
+  try {
+    Service service(cfg, shared_cache(), 1);
+    FAIL() << "a zero quantum was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("quantum_ps"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Admission, ShedsNewestWhenFull) {
-  AdmissionConfig cfg;
+  ServiceConfig cfg;
   cfg.queue_capacity = 2;
   cfg.policy = OverloadPolicy::kShed;
   AdmissionController admission(cfg);
@@ -384,7 +451,7 @@ TEST(Admission, DepthDistributionReachesCapacityExactlyWhenShedding) {
   // every sample taken while sheds were happening undercounted by one and
   // the distribution could never show the queue full. Post-verdict
   // sampling makes max == capacity iff at least one offer shed.
-  AdmissionConfig cfg;
+  ServiceConfig cfg;
   cfg.queue_capacity = 3;
   cfg.policy = OverloadPolicy::kShed;
   AdmissionController admission(cfg);
@@ -406,11 +473,11 @@ TEST(Admission, DepthDistributionReachesCapacityExactlyWhenShedding) {
 }
 
 TEST(Admission, DegradesAboveWatermarkAndStillBoundsTheQueue) {
-  AdmissionConfig cfg;
+  ServiceConfig cfg;
   cfg.queue_capacity = 4;
   cfg.policy = OverloadPolicy::kDegrade;  // watermark resolves to 2
   AdmissionController admission(cfg);
-  EXPECT_EQ(admission.config().degrade_watermark, 2u);
+  EXPECT_EQ(admission.degrade_watermark(), 2u);
 
   SessionRequest req;
   req.tenant = "t";

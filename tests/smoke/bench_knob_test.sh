@@ -1,0 +1,34 @@
+#!/bin/sh
+# Checks that a malformed RTAD_* knob makes a bench exit with status 2 and
+# name the variable on stderr (the bench/common.hpp contract), instead of
+# ending in std::terminate.
+# Usage: bench_knob_test.sh <bench-bin-dir> <work-dir>
+set -u
+bin="$1"
+work="$2"
+status=0
+
+expect_exit2() {
+  bench="$1"
+  knob="$2"
+  value="$3"
+  (cd "${work}" && env "${knob}=${value}" "${bin}/${bench}") \
+    > "${work}/${bench}.out" 2> "${work}/${bench}.err"
+  got=$?
+  if [ "${got}" -ne 2 ] || ! grep -q "${knob}" "${work}/${bench}.err"; then
+    echo "FAIL: ${knob}=${value} ${bench} exited ${got}; stderr:"
+    cat "${work}/${bench}.err"
+    status=1
+  else
+    echo "ok: ${knob}=${value} ${bench} -> exit 2 naming ${knob}"
+  fi
+}
+
+mkdir -p "${work}"
+expect_exit2 ablation_cu_scaling RTAD_JOBS abc
+expect_exit2 ablation_elm_vs_mlp RTAD_JOBS abc
+expect_exit2 ablation_energy RTAD_JOBS abc
+expect_exit2 fig6_overhead RTAD_SCHED bogus
+expect_exit2 fig7_transfer RTAD_SCHED bogus
+expect_exit2 ablation_rule_based RTAD_SCHED bogus
+exit "${status}"
