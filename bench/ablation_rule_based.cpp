@@ -23,6 +23,8 @@ int run() {
   std::cout << "ABLATION: RULE-BASED (whitelist/CFI) vs LEARNING-BASED "
                "DETECTION (458.sjeng)\n\n";
   const auto& profile = workloads::find_profile("sjeng");
+  core::DetectionOptions dopt = core::DetectionOptions::from_env();
+  dopt.attacks = 6;
 
   // --- train both detectors on the same normal trace ---
   std::cout << "Training..." << std::flush;
@@ -63,8 +65,6 @@ int run() {
   }
 
   // --- LSTM on the hard (replay) case, end to end ---
-  core::DetectionOptions dopt;
-  dopt.attacks = 6;
   const auto lstm = core::measure_detection(profile, models,
                                             core::ModelKind::kLstm,
                                             core::EngineKind::kMlMiaow, dopt);

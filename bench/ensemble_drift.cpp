@@ -28,10 +28,10 @@
 // RTAD_ENSEMBLE_BENCH_ATTACKS per session (default 4);
 // RTAD_ENSEMBLE_BENCH_SESSIONS for the serve stage (default 8);
 // RTAD_BENCH_JSON (default BENCH_ensemble.json) and RTAD_FAST_TRAIN=1 as
-// in bench/common.hpp; plus RTAD_SCHED / RTAD_BACKEND / RTAD_JOBS as
-// everywhere. stdout and the JSON document
-// minus its trailing "host" object are byte-identical across schedulers,
-// backends, and worker counts.
+// in bench/common.hpp; the DetectionOptions::from_env knobs (RTAD_SCHED,
+// RTAD_BACKEND, ...) for every session, the fleet included; and RTAD_JOBS.
+// stdout and the JSON document minus its trailing "host" object are
+// byte-identical across schedulers, backends, and worker counts.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -81,6 +81,8 @@ int run() {
       core::env::positive_or("RTAD_ENSEMBLE_BENCH_ATTACKS", 4);
   const std::size_t sessions =
       core::env::positive_or("RTAD_ENSEMBLE_BENCH_SESSIONS", 8);
+  core::DetectionOptions opts = core::DetectionOptions::from_env();
+  opts.attacks = attacks;
 
   const auto resolver = [base_name,
                          drift_name](const std::string& name) {
@@ -102,9 +104,6 @@ int run() {
   base_params.quorum = 0;  // full quorum: every member must agree to flag
   base_params.retrain_ps =
       sim::Picoseconds{kDriftPeriodUs} * sim::kPsPerUs;
-
-  core::DetectionOptions opts;
-  opts.attacks = attacks;
 
   const auto profile = cache->profile(drift_name);
   const core::TrainedModels& models = cache->get(drift_name);
@@ -183,7 +182,10 @@ int run() {
   serve::ServiceConfig scfg;
   scfg.shards = 2;
   scfg.lanes = 2;
-  scfg.detection.attacks = attacks;
+  scfg.detection = opts;
+  if (opts.proto == trace::TraceProtocol::kEtrace) {
+    scfg.proto = serve::FleetProtocol::kEtrace;
+  }
   const auto make_requests = [&] {
     std::vector<serve::SessionRequest> reqs;
     reqs.reserve(sessions);

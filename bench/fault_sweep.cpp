@@ -18,9 +18,10 @@
 // RTAD_SWEEP_ATTACKS=N (default 4); RTAD_SWEEP_RATES="0,0.002,0.02"
 // (sorted+deduped; default "0,0.0002,0.001,0.005,0.02"); RTAD_BENCH_JSON
 // (default BENCH_fault_sweep.json) and RTAD_FAST_TRAIN=1 as in
-// bench/common.hpp; RTAD_JOBS / RTAD_SCHED as everywhere — stdout is
-// byte-identical across both and across worker counts (wall-clock
-// diagnostics go to stderr).
+// bench/common.hpp; RTAD_JOBS and the DetectionOptions::from_env knobs
+// (RTAD_SCHED, RTAD_BACKEND, ...; the sweep owns the fault plan). stdout
+// is byte-identical across schedulers, backends and worker counts
+// (wall-clock diagnostics go to stderr).
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -83,7 +84,7 @@ std::uint64_t recovery_sum(const core::DetectionResult& d) {
 int run() {
   const std::string benchmark = workloads::find_profile("astar").name;
   const auto rates = selected_rates();
-  core::DetectionOptions dopt;
+  core::DetectionOptions dopt = core::DetectionOptions::from_env();
   dopt.attacks = core::env::positive_or("RTAD_SWEEP_ATTACKS", 4);
   std::cout << "FAULT SWEEP: DETECTION UNDER DETERMINISTIC FAULT INJECTION\n\n";
 

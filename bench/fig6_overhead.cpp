@@ -14,6 +14,7 @@ using cpu::InstrumentationMode;
 namespace {
 
 int run() {
+  const auto options = core::DetectionOptions::from_env();
   std::cout << "FIG. 6: PERFORMANCE OVERHEAD OF RTAD (% over Baseline)\n\n";
 
   const std::vector<InstrumentationMode> modes = {
@@ -32,7 +33,8 @@ int run() {
           modes[m] == InstrumentationMode::kSwSys
               ? 8 * profile.syscall_interval_instrs
               : 400'000;
-      const double pct = core::measure_overhead(profile, modes[m], instructions);
+      const double pct =
+          core::measure_overhead(profile, modes[m], options, instructions);
       per_mode[m].push_back(1.0 + pct / 100.0);  // ratio for geomean
       row.push_back(core::fmt(pct, 3) + "%");
     }

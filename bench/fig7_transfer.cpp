@@ -14,6 +14,7 @@ using namespace rtad;
 namespace {
 
 int run() {
+  const auto options = core::DetectionOptions::from_env();
   std::cout << "FIG. 7: DATA TRANSFER LATENCY (us)\n\n";
 
   const auto sw = core::sw_transfer_breakdown(32);
@@ -28,8 +29,9 @@ int run() {
 
   // Measured with the ELM's 32-word input vector — the same vector size the
   // SW pipeline above moves, so step (3) compares like for like.
-  const auto rtad = core::measure_rtad_transfer(
-      profile, models, core::ModelKind::kElm, core::EngineKind::kMlMiaow, 30);
+  const auto rtad =
+      core::measure_rtad_transfer(profile, models, core::ModelKind::kElm,
+                                  core::EngineKind::kMlMiaow, options, 30);
 
   core::Table table({"Path", "(1) read/decode", "(2) refine/IGM",
                      "(3) copy/drive", "Total"});

@@ -16,8 +16,8 @@
 // ratios need both engines, the overall line needs the full matrix);
 // RTAD_FIG8_ATTACKS=N sets attacks per configuration (default 8);
 // RTAD_FIG8_PROTO="pft,etrace" adds a trace-protocol axis to the matrix
-// (default: just the process protocol, i.e. RTAD_TRACE_PROTO — the table
-// shape and stdout are unchanged unless more than one protocol is listed;
+// (default: just the RTAD_TRACE_PROTO protocol — the table shape and
+// stdout are unchanged unless more than one protocol is listed;
 // per-protocol bytes/branch and decode-cycle stats go to stderr);
 // RTAD_JOBS=N sets worker count (default: hardware concurrency);
 // RTAD_FAST_TRAIN=1 shrinks the training corpus (bench/common.hpp) and
@@ -75,10 +75,10 @@ std::vector<core::ModelKind> selected_models() {
   return models;
 }
 
-std::vector<trace::TraceProtocol> selected_protocols() {
-  const char* fallback = trace::to_string(trace::default_trace_protocol());
-  const auto items =
-      core::env::list_or("RTAD_FIG8_PROTO", {fallback}, {"pft", "etrace"});
+std::vector<trace::TraceProtocol> selected_protocols(
+    trace::TraceProtocol fallback) {
+  const auto items = core::env::list_or(
+      "RTAD_FIG8_PROTO", {trace::to_string(fallback)}, {"pft", "etrace"});
   std::vector<trace::TraceProtocol> protos;
   for (const auto& p : items) {
     protos.push_back(p == "pft" ? trace::TraceProtocol::kPft
@@ -107,14 +107,14 @@ struct Agg {
 };
 
 int run() {
-  core::DetectionOptions dopt;
+  core::DetectionOptions dopt = core::DetectionOptions::from_env();
   dopt.attacks = core::env::positive_or("RTAD_FIG8_ATTACKS", 8);
 
   // Cell order per benchmark is protocol-major then model-major: with the
   // default single protocol that's ELM/MIAOW, ELM/ML-MIAOW, LSTM/MIAOW,
   // LSTM/ML-MIAOW in the full matrix — the table's column order.
   const auto benchmarks = selected_benchmarks();
-  const auto protos = selected_protocols();
+  const auto protos = selected_protocols(dopt.proto);
   const auto models = selected_models();
   const auto engines = selected_engines();
   const std::uint64_t probes = core::env::u64_or("RTAD_FIG8_BACKEND_PROBE", 0);
@@ -207,12 +207,12 @@ int run() {
   // Diagnostics only: the kernel-simulation wall is the share of the matrix
   // the execution backend is responsible for, which is what the perf smoke
   // compares across RTAD_BACKEND (stdout stays byte-identical).
-  std::cerr << "fig8: backend=" << gpgpu::to_string(gpgpu::default_gpu_backend())
+  std::cerr << "fig8: backend=" << gpgpu::to_string(dopt.backend)
             << " gpu_exec_wall_ms=" << gpu_wall_ns / 1'000'000
             << " fast_launches=" << fast_launches << "\n";
   // Diagnostics only — scheduler mode must never leak into stdout, which
   // is compared byte-for-byte across kernels by the perf smoke.
-  std::cerr << "fig8: scheduler=" << sim::to_string(sim::default_sched_mode())
+  std::cerr << "fig8: scheduler=" << sim::to_string(dopt.sched)
             << " skipped_edge_groups=" << skipped_groups
             << " skipped_cycles=" << skipped_cycles << "\n";
 

@@ -25,8 +25,9 @@
 // latency distribution; the seed is 2026. Environment knobs:
 // RTAD_TELEMETRY_TENANTS (default 100000); RTAD_BENCH_JSON (default
 // BENCH_telemetry.json, see bench/common.hpp); plus the store shape via
-// RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE (bench
-// defaults: no spill, 32 MiB cap, 8-sample pages).
+// RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE, read by
+// serve::ServiceConfig::from_env (bench defaults: no spill, 32 MiB cap,
+// 8-sample pages); RTAD_JOBS sizes the synthesis pool.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -40,8 +41,10 @@
 #include "common.hpp"
 #include "rtad/core/blob_codec.hpp"
 #include "rtad/core/env.hpp"
+#include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
+#include "rtad/serve/service.hpp"
 #include "rtad/sim/rng.hpp"
 #include "rtad/sim/stats.hpp"
 #include "rtad/sim/thread_pool.hpp"
@@ -133,7 +136,8 @@ int run() {
     return 2;
   }
 
-  telemetry::StoreConfig store_cfg = telemetry::StoreConfig::from_env();
+  telemetry::StoreConfig store_cfg =
+      serve::ServiceConfig::from_env().telemetry;
   // Bench defaults tuned so pages actually seal and the cap actually
   // evicts; explicit env settings win.
   if (!core::env::raw("RTAD_TELEMETRY_PAGE")) store_cfg.page_samples = 8;
@@ -161,7 +165,7 @@ int run() {
       partitions);
   const auto t_gen = std::chrono::steady_clock::now();
   {
-    sim::ThreadPool pool;
+    sim::ThreadPool pool(core::resolve_jobs(0));
     std::vector<std::future<std::vector<std::vector<telemetry::Sample>>>>
         futures;
     futures.reserve(partitions);

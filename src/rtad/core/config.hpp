@@ -54,26 +54,23 @@ struct SocConfig {
   std::uint64_t drift_base_ps = 0;
   ClockPlan clocks{};
   /// Trace packet grammar spoken across the whole frontend (trace source,
-  /// TPIU bytes, TA decoder); overridable per-process with
-  /// RTAD_TRACE_PROTO=pft|etrace. Overrides any protocol set on the trace_source /
-  /// igm sub-configs below — the SoC wires one grammar end to end.
-  trace::TraceProtocol trace_proto = trace::default_trace_protocol();
+  /// TPIU bytes, TA decoder). Overrides any protocol set on the
+  /// trace_source / igm sub-configs below — the SoC wires one grammar end
+  /// to end.
+  trace::TraceProtocol trace_proto = trace::TraceProtocol::kPft;
   coresight::TraceSourceConfig trace_source{};
   igm::IgmConfig igm{};
   mcm::McmConfig mcm{};
   std::uint32_t gpu_dispatch_latency = 8;
   std::optional<attack::AttackConfig> attack;
-  /// Deterministic fault plan; defaults to the RTAD_FAULTS environment
-  /// variable (resolved once per process). A nullopt (or all-zero) plan
-  /// leaves the pipeline byte-identical to a build without the fault layer.
-  std::optional<fault::FaultPlan> faults = fault::default_plan();
-  /// Scheduling kernel (dense reference vs. idle-aware event-driven);
-  /// overridable per-process with RTAD_SCHED=dense|event.
-  sim::SchedMode sched = sim::default_sched_mode();
+  /// Deterministic fault plan. A nullopt (or all-zero) plan leaves the
+  /// pipeline byte-identical to a build without the fault layer.
+  std::optional<fault::FaultPlan> faults;
+  /// Scheduling kernel (dense reference vs. idle-aware event-driven).
+  sim::SchedMode sched = sim::SchedMode::kEventDriven;
   /// Kernel execution backend (cycle-level oracle vs. decode-once fast
-  /// path); overridable per-process with RTAD_BACKEND=cycle|fast. Both
-  /// produce byte-identical results and timing.
-  gpgpu::GpuBackend gpu_backend = gpgpu::default_gpu_backend();
+  /// path). Both produce byte-identical results and timing.
+  gpgpu::GpuBackend gpu_backend = gpgpu::GpuBackend::kCycle;
   /// Observability context (not owned, may be null). When set, every
   /// component registers a cycle account with it — and, if it carries a
   /// trace sink, span/counter tracks too. Installed after construction and

@@ -29,18 +29,7 @@ DetectionSession::DetectionSession(const workloads::SpecProfile& profile,
     : options_(std::move(options)),
       model_(model),
       quorum_(options_.ensemble, model, profile.name, models, generations) {
-  workloads::SpecProfile run_profile = profile;
-  if (model == ModelKind::kElm) {
-    run_profile.syscall_interval_instrs =
-        std::min(run_profile.syscall_interval_instrs,
-                 options_.elm_syscall_interval_cap);
-  }
-
-  SocConfig cfg;
-  cfg.profile = run_profile;
-  cfg.model = model;
-  cfg.engine = engine;
-  cfg.seed = options_.seed;
+  SocConfig cfg = soc_config(profile, model, engine, options_.seed, options_);
   attack::AttackConfig atk;
   atk.burst_events = options_.burst_events;
   atk.gap_instructions = model == ModelKind::kElm ? 40 : 3;
@@ -53,14 +42,6 @@ DetectionSession::DetectionSession(const workloads::SpecProfile& profile,
   }
   atk.seed = options_.seed ^ 0xA77AC4;
   cfg.attack = atk;
-  cfg.sched = options_.sched;
-  cfg.gpu_backend = options_.backend;
-  cfg.faults = options_.faults;
-  cfg.trace_proto = options_.proto;
-  // The workload's drift clock starts where the session sits on the fleet
-  // timeline, so serve tenants' drift phases and the ensemble's retrain
-  // schedule agree on one notion of time.
-  cfg.drift_base_ps = options_.ensemble.base_ps;
 
   // Observability: the Observer exists only when the run asked for it, so
   // disabled runs never leave the instrumentation's null-pointer fast path.

@@ -1,22 +1,23 @@
 // Consolidated RTAD_* environment-knob parsing.
 //
-// Every process-level knob (RTAD_SCHED, RTAD_JOBS, RTAD_FAULTS, RTAD_TRACE,
-// RTAD_METRICS, RTAD_SERVE_*) resolves through this helper so a malformed
-// value is rejected loudly — std::invalid_argument naming the variable, the
-// offending text, and the accepted grammar — instead of silently decaying to
-// a default. A typo like RTAD_JOBS=fulL used to mean "hardware_concurrency"
-// and RTAD_SCHED=evnet used to mean "event", the worst failure modes for a
-// determinism-sensitive tool: the run completes, just not the run you asked
-// for.
+// The grammar every RTAD_* knob is read with, so a malformed value is
+// rejected loudly — std::invalid_argument naming the variable, the
+// offending text, and the accepted grammar — instead of silently decaying
+// to a default. A typo like RTAD_JOBS=fulL used to mean
+// "hardware_concurrency" and RTAD_SCHED=evnet used to mean "event", the
+// worst failure modes for a determinism-sensitive tool: the run completes,
+// just not the run you asked for.
 //
 // Two conventions shared by every knob:
 //   * The empty string counts as unset (`VAR= cmd` clears a knob without
 //     unsetenv), matching the long-standing RTAD_FAULTS behaviour.
 //   * The value must be consumed in full — trailing garbage is an error.
 //
-// The helper lives in core/ but builds as its own dependency-free library
-// (rtad_env) so the layers below core (sim, fault, obs) link it without a
-// cycle.
+// Only the entry points call these helpers: DetectionOptions::from_env,
+// EnsembleParams::from_env, serve::ServiceConfig::from_env, the `jobs == 0`
+// of ExperimentRunner / serve::Service (core::resolve_jobs), and the bench
+// mains for their own bench-only knobs. The layers below core never read
+// the environment; their config structs default to constants.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +36,17 @@ std::optional<std::string> raw(const char* name);
 /// empty-means-unset rule.
 std::string string_or(const char* name, std::string fallback);
 
-/// Strictly positive integer knob (worker counts, capacities). Throws
-/// std::invalid_argument on non-numeric, zero, negative, or
-/// trailing-garbage values.
-std::size_t positive_or(const char* name, std::size_t fallback);
+/// Strictly positive integer knob (worker counts, capacities) of at most
+/// `max`. Throws std::invalid_argument on non-numeric, zero, negative,
+/// too-large, or trailing-garbage values.
+std::size_t positive_or(const char* name, std::size_t fallback,
+                        std::uint64_t max = UINT64_MAX);
 
-/// Unsigned integer knob (zero allowed). Throws on malformed values.
-std::uint64_t u64_or(const char* name, std::uint64_t fallback);
+/// Unsigned integer knob (zero allowed) of at most `max` — pass
+/// UINT64_MAX / scale for a knob the caller multiplies by `scale`, so the
+/// product cannot wrap. Throws on malformed or too-large values.
+std::uint64_t u64_or(const char* name, std::uint64_t fallback,
+                     std::uint64_t max = UINT64_MAX);
 
 /// Floating-point knob constrained to [lo, hi]. Throws on malformed or
 /// out-of-range values.

@@ -28,19 +28,64 @@ std::vector<float> lstm_ewma_scores(const ml::Lstm& lstm,
 }  // namespace
 
 EnsembleParams EnsembleParams::from_env() {
+  constexpr std::uint64_t kMaxUs = UINT64_MAX / sim::kPsPerUs;
   EnsembleParams p;
-  p.size =
-      static_cast<std::uint32_t>(env::positive_or("RTAD_ENSEMBLE_SIZE", 1));
-  p.quorum =
-      static_cast<std::uint32_t>(env::u64_or("RTAD_ENSEMBLE_QUORUM", 0));
-  p.retrain_ps = env::u64_or("RTAD_ENSEMBLE_RETRAIN_US", 0) * sim::kPsPerUs;
-  p.window_ps = env::u64_or("RTAD_ENSEMBLE_WINDOW", 0) * sim::kPsPerUs;
+  p.size = static_cast<std::uint32_t>(
+      env::positive_or("RTAD_ENSEMBLE_SIZE", 1, UINT32_MAX));
+  p.quorum = static_cast<std::uint32_t>(
+      env::u64_or("RTAD_ENSEMBLE_QUORUM", 0, UINT32_MAX));
+  p.retrain_ps =
+      env::u64_or("RTAD_ENSEMBLE_RETRAIN_US", 0, kMaxUs) * sim::kPsPerUs;
+  p.window_ps = env::u64_or("RTAD_ENSEMBLE_WINDOW", 0, kMaxUs) * sim::kPsPerUs;
   if (p.quorum > p.size) {
     throw std::invalid_argument(
         "RTAD_ENSEMBLE_QUORUM (" + std::to_string(p.quorum) +
         ") exceeds RTAD_ENSEMBLE_SIZE (" + std::to_string(p.size) + ")");
   }
   return p;
+}
+
+DetectionOptions DetectionOptions::from_env() {
+  DetectionOptions o;
+  const bool dense =
+      env::choice_or("RTAD_SCHED", {"dense", "event"}, "event") == "dense";
+  o.sched = dense ? sim::SchedMode::kDense : sim::SchedMode::kEventDriven;
+  const bool fast =
+      env::choice_or("RTAD_BACKEND", {"cycle", "fast"}, "cycle") == "fast";
+  o.backend = fast ? gpgpu::GpuBackend::kFast : gpgpu::GpuBackend::kCycle;
+  if (const auto spec = env::raw("RTAD_FAULTS")) {
+    o.faults = fault::FaultPlan::parse(*spec);
+  }
+  const bool etrace =
+      env::choice_or("RTAD_TRACE_PROTO", {"pft", "etrace"}, "pft") == "etrace";
+  o.proto = etrace ? trace::TraceProtocol::kEtrace : trace::TraceProtocol::kPft;
+  o.trace_path = env::string_or("RTAD_TRACE", "");
+  o.metrics_path = env::string_or("RTAD_METRICS", "");
+  return o;
+}
+
+SocConfig soc_config(const workloads::SpecProfile& profile, ModelKind model,
+                     EngineKind engine, std::uint64_t seed,
+                     const DetectionOptions& options) {
+  SocConfig cfg;
+  cfg.profile = profile;
+  if (model == ModelKind::kElm) {
+    cfg.profile.syscall_interval_instrs =
+        std::min(cfg.profile.syscall_interval_instrs,
+                 options.elm_syscall_interval_cap);
+  }
+  cfg.model = model;
+  cfg.engine = engine;
+  cfg.seed = seed;
+  cfg.sched = options.sched;
+  cfg.gpu_backend = options.backend;
+  cfg.faults = options.faults;
+  cfg.trace_proto = options.proto;
+  // The workload's drift clock starts where the session sits on the fleet
+  // timeline, so serve tenants' drift phases and the ensemble's retrain
+  // schedule agree on one notion of time.
+  cfg.drift_base_ps = options.ensemble.base_ps;
+  return cfg;
 }
 
 TrainedModels train_models(const workloads::SpecProfile& profile,
@@ -103,11 +148,11 @@ void train_model_side(TrainedModels& out, ModelKind kind,
 
 double measure_overhead(const workloads::SpecProfile& profile,
                         cpu::InstrumentationMode mode,
+                        const DetectionOptions& options,
                         std::uint64_t instructions, std::uint64_t seed) {
-  SocConfig cfg;
-  cfg.profile = profile;
+  SocConfig cfg = soc_config(profile, ModelKind::kLstm, EngineKind::kMlMiaow,
+                             seed, options);
   cfg.mode = mode;
-  cfg.seed = seed;
   RtadSoc soc(cfg, nullptr, nullptr);
   soc.run_for_instructions(instructions);
   const auto& cpu = soc.host_cpu();
@@ -118,19 +163,11 @@ double measure_overhead(const workloads::SpecProfile& profile,
 TransferBreakdown measure_rtad_transfer(const workloads::SpecProfile& profile,
                                         const TrainedModels& models,
                                         ModelKind model, EngineKind engine,
+                                        const DetectionOptions& options,
                                         std::size_t samples,
                                         std::uint64_t seed) {
-  workloads::SpecProfile run_profile = profile;
-  if (model == ModelKind::kElm) {
-    run_profile.syscall_interval_instrs =
-        std::min<std::uint64_t>(run_profile.syscall_interval_instrs, 50'000);
-  }
-  SocConfig cfg;
-  cfg.profile = run_profile;
-  cfg.model = model;
-  cfg.engine = engine;
-  cfg.seed = seed;
-  RtadSoc soc(cfg, &models.image(model), models.features.get());
+  RtadSoc soc(soc_config(profile, model, engine, seed, options),
+              &models.image(model), models.features.get());
 
   sim::Sampler step12_us;
   soc.igm().set_emit_observer(

@@ -89,8 +89,9 @@ struct EnsembleParams {
   ///                             disables the ensemble layer         (0)
   ///   RTAD_ENSEMBLE_WINDOW      training window, simulated us; 0 =
   ///                             the retrain cadence                 (0)
-  /// Throws std::invalid_argument on malformed values or a quorum larger
-  /// than the ensemble size.
+  /// Throws std::invalid_argument on malformed values, a size or quorum
+  /// above UINT32_MAX, a cadence or window that overflows picoseconds, or
+  /// a quorum larger than the ensemble size.
   static EnsembleParams from_env();
 
   bool active() const noexcept { return retrain_ps != 0 && size != 0; }
@@ -109,12 +110,16 @@ struct EnsembleParams {
   }
 };
 
+struct DetectionOptions;
+
 // ------------------------------------------------------------------ Fig. 6
 
 /// Run `instructions` of the benchmark under a collection mechanism and
-/// return the CPU overhead in percent over Baseline.
+/// return the CPU overhead in percent over Baseline. The SoC runs the
+/// execution modes of `options` (see soc_config).
 double measure_overhead(const workloads::SpecProfile& profile,
                         cpu::InstrumentationMode mode,
+                        const DetectionOptions& options,
                         std::uint64_t instructions = 400'000,
                         std::uint64_t seed = 3);
 
@@ -125,6 +130,7 @@ double measure_overhead(const workloads::SpecProfile& profile,
 TransferBreakdown measure_rtad_transfer(const workloads::SpecProfile& profile,
                                         const TrainedModels& models,
                                         ModelKind model, EngineKind engine,
+                                        const DetectionOptions& options,
                                         std::size_t samples = 40,
                                         std::uint64_t seed = 5);
 
@@ -214,31 +220,27 @@ struct DetectionOptions {
   std::uint64_t elm_syscall_interval_cap = 50'000;
   /// Scheduling kernel for the run (dense reference vs. event-driven);
   /// results are bit-identical either way — the determinism suite checks.
-  sim::SchedMode sched = sim::default_sched_mode();
+  sim::SchedMode sched = sim::SchedMode::kEventDriven;
   /// Kernel execution backend (cycle-level oracle vs. decode-once fast
-  /// path, RTAD_BACKEND=cycle|fast); results are byte-identical either
-  /// way — the fastpath differential suite checks.
-  gpgpu::GpuBackend backend = gpgpu::default_gpu_backend();
-  /// Fault plan forwarded into the SoC (defaults to RTAD_FAULTS, resolved
-  /// once per process like SocConfig). nullopt or an all-zero plan leaves
+  /// path); results are byte-identical either way — the fastpath
+  /// differential suite checks.
+  gpgpu::GpuBackend backend = gpgpu::GpuBackend::kCycle;
+  /// Fault plan forwarded into the SoC. nullopt or an all-zero plan leaves
   /// every result field byte-identical to a fault-free build.
-  std::optional<fault::FaultPlan> faults = fault::default_plan();
-  /// Trace packet grammar for the run's frontend (defaults to
-  /// RTAD_TRACE_PROTO, resolved once per process). Both protocols carry
-  /// the identical branch-event stream; only bytes-on-the-wire and decode
-  /// cost differ.
-  trace::TraceProtocol proto = trace::default_trace_protocol();
+  std::optional<fault::FaultPlan> faults;
+  /// Trace packet grammar for the run's frontend. Both protocols carry the
+  /// identical branch-event stream; only bytes-on-the-wire and decode cost
+  /// differ.
+  trace::TraceProtocol proto = trace::TraceProtocol::kPft;
 
   // --- observability (all off by default; the run is byte-identical with
   // the layer disabled) ---
-  /// Write a Chrome-trace/Perfetto JSON of the run here (defaults to
-  /// RTAD_TRACE, resolved once per process). Empty disables span/counter
-  /// tracing entirely.
-  std::string trace_path = obs::default_trace_path();
-  /// Write machine-readable run metrics (stable-key JSON) here (defaults
-  /// to RTAD_METRICS, resolved once per process). Empty disables the
-  /// export.
-  std::string metrics_path = obs::default_metrics_path();
+  /// Write a Chrome-trace/Perfetto JSON of the run here. Empty disables
+  /// span/counter tracing entirely.
+  std::string trace_path;
+  /// Write machine-readable run metrics (stable-key JSON) here. Empty
+  /// disables the export.
+  std::string metrics_path;
   /// Collect per-component cycle accounts into
   /// DetectionResult::cycle_accounts even when no file export is set.
   bool cycle_accounts = false;
@@ -246,7 +248,27 @@ struct DetectionOptions {
   /// Rolling-ensemble shape (inert by default). Active params require a
   /// GenerationCache on the DetectionSession that runs these options.
   EnsembleParams ensemble{};
+
+  /// The defaults above with the process's execution knobs applied
+  /// (strict core::env grammar; malformed values throw naming the
+  /// variable). Unset knobs keep the defaults:
+  ///   RTAD_SCHED=dense|event        sched
+  ///   RTAD_BACKEND=cycle|fast       backend
+  ///   RTAD_FAULTS=<spec>            faults (fault::FaultPlan::parse)
+  ///   RTAD_TRACE_PROTO=pft|etrace   proto
+  ///   RTAD_TRACE=<path>             trace_path
+  ///   RTAD_METRICS=<path>           metrics_path
+  static DetectionOptions from_env();
 };
+
+/// The SoC every run under `options` builds: the options' scheduler,
+/// backend, fault plan, trace protocol and drift origin and, for the ELM,
+/// the profile's syscall interval capped at elm_syscall_interval_cap.
+/// DetectionSession, measure_overhead and measure_rtad_transfer all start
+/// from it.
+SocConfig soc_config(const workloads::SpecProfile& profile, ModelKind model,
+                     EngineKind engine, std::uint64_t seed,
+                     const DetectionOptions& options);
 
 DetectionResult measure_detection(const workloads::SpecProfile& profile,
                                   const TrainedModels& models, ModelKind model,

@@ -1,7 +1,10 @@
 #include "rtad/core/experiment_runner.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
 
+#include "rtad/core/env.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/observer.hpp"
 #include "rtad/sim/time.hpp"
@@ -114,11 +117,17 @@ void GenerationCache::drain() {
   for (auto& f : pending) f.get();
 }
 
+std::size_t resolve_jobs(std::size_t jobs) {
+  if (jobs != 0) return jobs;
+  return env::positive_or("RTAD_JOBS",
+                          std::max(1u, std::thread::hardware_concurrency()));
+}
+
 ExperimentRunner::ExperimentRunner(std::size_t jobs,
                                    std::shared_ptr<TrainedModelCache> cache)
     : cache_(cache ? std::move(cache)
                    : std::make_shared<TrainedModelCache>()),
-      pool_(jobs) {}
+      pool_(resolve_jobs(jobs)) {}
 
 std::vector<CellResult> ExperimentRunner::run_detection_matrix(
     const std::vector<DetectionCell>& cells) {

@@ -172,9 +172,15 @@ struct CellResult {
   double wall_ms = 0.0;
 };
 
+/// Worker count for a pool: `jobs` itself when nonzero, else RTAD_JOBS if
+/// set, else std::thread::hardware_concurrency() (at least 1). A
+/// set-but-malformed RTAD_JOBS (non-numeric, zero, negative) throws
+/// std::invalid_argument.
+std::size_t resolve_jobs(std::size_t jobs);
+
 class ExperimentRunner {
  public:
-  /// `jobs == 0` resolves via RTAD_JOBS / hardware_concurrency. Pass a
+  /// `jobs == 0` resolves via resolve_jobs (RTAD_JOBS). Pass a
   /// cache to share trained models across runners (the determinism test
   /// runs the same matrix at several worker counts on one cache).
   explicit ExperimentRunner(std::size_t jobs = 0,

@@ -1,9 +1,9 @@
 #include "rtad/fault/fault_plan.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "rtad/core/env.hpp"
 
 namespace rtad::fault {
 
@@ -138,17 +138,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       throw std::invalid_argument("RTAD_FAULTS: unknown key '" + key + "'");
     }
   }
-  return plan;
-}
-
-std::optional<FaultPlan> plan_from_env() {
-  const auto env = core::env::raw("RTAD_FAULTS");
-  if (!env) return std::nullopt;
-  return FaultPlan::parse(*env);
-}
-
-const std::optional<FaultPlan>& default_plan() {
-  static const std::optional<FaultPlan> plan = plan_from_env();
   return plan;
 }
 

@@ -3,9 +3,9 @@
 // A FaultPlan names *where* the SoC may misbehave and *how often*; a
 // FaultInjector (fault_injector.hpp) turns the plan into reproducible
 // per-datum Bernoulli decisions. The plan is plain data so experiment
-// drivers can sweep rates programmatically, and it parses from the
-// RTAD_FAULTS environment variable so any existing binary can be run under
-// fault pressure without a rebuild:
+// drivers can sweep rates programmatically, and it parses the RTAD_FAULTS
+// grammar (read by core::DetectionOptions::from_env) so any existing bench
+// can be run under fault pressure without a rebuild:
 //
 //   RTAD_FAULTS="trace.bit_flip=0.001,mcm.done_lost=0.05,fifo.squeeze=4"
 //
@@ -31,7 +31,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace rtad::fault {
@@ -124,17 +123,5 @@ struct FaultPlan {
   /// Throws std::invalid_argument on unknown keys or malformed values.
   static FaultPlan parse(std::string_view spec);
 };
-
-/// The plan named by RTAD_FAULTS, or nullopt when the variable is unset or
-/// empty. Malformed specs throw (a silently ignored typo would "pass" every
-/// robustness experiment by testing nothing). Re-reads the environment on
-/// every call; configuration defaults use default_plan() instead.
-std::optional<FaultPlan> plan_from_env();
-
-/// plan_from_env() resolved once per process — the value SocConfig and
-/// DetectionOptions default members carry. Default-constructing options
-/// used to re-parse RTAD_FAULTS per instance, which is both wasted work in
-/// matrix fan-outs and a seam for mid-run environment drift.
-const std::optional<FaultPlan>& default_plan();
 
 }  // namespace rtad::fault

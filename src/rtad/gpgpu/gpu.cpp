@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "rtad/core/env.hpp"
 #include "rtad/gpgpu/fastpath/fast_backend.hpp"
 
 namespace rtad::gpgpu {
-
-GpuBackend default_gpu_backend() {
-  // Resolved once per process, like default_sched_mode(): a typo'd backend
-  // selection throws on first use instead of silently running cycle-level.
-  static const GpuBackend backend =
-      core::env::choice_or("RTAD_BACKEND", {"cycle", "fast"}, "cycle") ==
-              "fast"
-          ? GpuBackend::kFast
-          : GpuBackend::kCycle;
-  return backend;
-}
 
 const char* to_string(GpuBackend backend) noexcept {
   return backend == GpuBackend::kFast ? "fast" : "cycle";

@@ -42,12 +42,6 @@ struct LaunchConfig {
 ///     outside the fast path's validated subset.
 enum class GpuBackend : std::uint8_t { kCycle, kFast };
 
-/// Process-wide default from RTAD_BACKEND=cycle|fast (resolved once;
-/// malformed values throw). Raw Gpu instances still default to kCycle —
-/// the env default is applied by SocConfig/DetectionOptions so simulation
-/// surfaces pick it up while unit-level harnesses stay explicit.
-GpuBackend default_gpu_backend();
-
 const char* to_string(GpuBackend backend) noexcept;
 
 struct GpuConfig {

@@ -2,27 +2,7 @@
 
 #include <cstdio>
 
-#include "rtad/core/env.hpp"
-
 namespace rtad::obs {
-
-std::string trace_path_from_env() {
-  return core::env::string_or("RTAD_TRACE", "");
-}
-
-std::string metrics_path_from_env() {
-  return core::env::string_or("RTAD_METRICS", "");
-}
-
-const std::string& default_trace_path() {
-  static const std::string path = trace_path_from_env();
-  return path;
-}
-
-const std::string& default_metrics_path() {
-  static const std::string path = metrics_path_from_env();
-  return path;
-}
 
 std::string indexed_path(const std::string& base, std::size_t index) {
   if (base.empty()) return base;

@@ -52,18 +52,6 @@ class Observer {
   std::deque<Entry> entries_;  // deque: account pointers stay stable
 };
 
-/// RTAD_TRACE / RTAD_METRICS output paths ("" when unset). Re-read the
-/// environment on every call; configuration defaults use the cached
-/// default_*_path() forms below.
-std::string trace_path_from_env();
-std::string metrics_path_from_env();
-
-/// The *_from_env() values resolved once per process — what
-/// core::DetectionOptions default members carry, so default-constructing
-/// options does not re-read the environment per instance.
-const std::string& default_trace_path();
-const std::string& default_metrics_path();
-
 /// Derives the per-cell output path for run index `index` by inserting
 /// ".cellNNN" before a trailing ".json" (or appending it otherwise), so a
 /// matrix run never has two cells racing on one file. Empty base stays empty.

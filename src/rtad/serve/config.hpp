@@ -14,7 +14,6 @@
 #include "rtad/fault/fault_plan.hpp"
 #include "rtad/sim/stats.hpp"
 #include "rtad/telemetry/store.hpp"
-#include "rtad/trace/protocol.hpp"
 
 namespace rtad::serve {
 
@@ -44,12 +43,9 @@ struct ServiceConfig {
   /// Simulated time per advance() call on a lane (nonzero).
   sim::Picoseconds quantum_ps = 2 * sim::kPsPerMs;
   /// Fleet-wide trace-protocol assignment, applied to every request before
-  /// routing. Defaults to the process protocol so a plain service follows
-  /// RTAD_TRACE_PROTO; kMixed simulates a heterogeneous host fleet.
-  FleetProtocol proto = trace::default_trace_protocol() ==
-                                trace::TraceProtocol::kEtrace
-                            ? FleetProtocol::kEtrace
-                            : FleetProtocol::kPft;
+  /// routing. from_env() follows RTAD_TRACE_PROTO; kMixed simulates a
+  /// heterogeneous host fleet.
+  FleetProtocol proto = FleetProtocol::kPft;
   /// Base options for every episode; seed/attacks/model/protocol come from
   /// the request, and per-run trace/metrics exports are force-disabled (a
   /// fleet of sessions racing on one RTAD_TRACE path helps nobody — the
@@ -59,7 +55,7 @@ struct ServiceConfig {
   // --- failure domain ---
   /// Fleet-level fault sites (inactive by default — the fleet then runs
   /// one round with no failover machinery). from_env() adopts the serve.*
-  /// keys of the process RTAD_FAULTS plan.
+  /// keys of the RTAD_FAULTS plan it parses for `detection`.
   fault::ServeFaultPlan serve_faults{};
   std::uint64_t fault_seed = 0xFA017;  ///< fault streams + retry jitter
   std::size_t retry_budget = 0;        ///< re-offers per refused request
@@ -85,10 +81,19 @@ struct ServiceConfig {
   /// origin arrival, anchoring the retrain cadence to the fleet clock.
   core::EnsembleParams ensemble{};
 
-  /// Resolve the RTAD_SERVE_{POLICY,RETRY,CHECKPOINT_CAP_KB} knobs
-  /// plus the serve.* RTAD_FAULTS keys, RTAD_TELEMETRY* and RTAD_ENSEMBLE_*
-  /// (strict grammar; throws on malformed values). Every other field keeps
-  /// the default above; set it in code.
+  /// Resolve the fleet's knobs (strict grammar; throws on malformed or
+  /// overflowing values):
+  ///   detection, proto      DetectionOptions::from_env (RTAD_SCHED,
+  ///                         RTAD_BACKEND, RTAD_FAULTS, RTAD_TRACE_PROTO,
+  ///                         RTAD_TRACE, RTAD_METRICS)
+  ///   serve_faults, fault_seed   serve.* keys of that RTAD_FAULTS plan
+  ///   policy                RTAD_SERVE_POLICY=shed|degrade
+  ///   retry_budget          RTAD_SERVE_RETRY
+  ///   checkpoint_cap_kb     RTAD_SERVE_CHECKPOINT_CAP_KB
+  ///   telemetry             RTAD_TELEMETRY (spill path),
+  ///                         RTAD_TELEMETRY_CAP_KB, RTAD_TELEMETRY_PAGE
+  ///   ensemble              EnsembleParams::from_env (RTAD_ENSEMBLE_*)
+  /// Every other field keeps the default above; set it in code.
   static ServiceConfig from_env();
 };
 

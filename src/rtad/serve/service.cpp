@@ -25,20 +25,29 @@ const char* fleet_protocol_name(FleetProtocol proto) noexcept {
 }
 
 ServiceConfig ServiceConfig::from_env() {
+  constexpr std::uint64_t kMaxKb = UINT64_MAX / 1024;
   ServiceConfig cfg;
+  cfg.detection = core::DetectionOptions::from_env();
+  if (cfg.detection.proto == trace::TraceProtocol::kEtrace) {
+    cfg.proto = FleetProtocol::kEtrace;
+  }
+  if (const auto& plan = cfg.detection.faults) {
+    cfg.serve_faults = plan->serve;
+    cfg.fault_seed = plan->seed;
+  }
   cfg.policy = core::env::choice_or("RTAD_SERVE_POLICY", {"shed", "degrade"},
                                     "shed") == "shed"
                    ? OverloadPolicy::kShed
                    : OverloadPolicy::kDegrade;
   cfg.retry_budget = static_cast<std::size_t>(
       core::env::u64_or("RTAD_SERVE_RETRY", cfg.retry_budget));
-  cfg.checkpoint_cap_kb =
-      core::env::u64_or("RTAD_SERVE_CHECKPOINT_CAP_KB", cfg.checkpoint_cap_kb);
-  if (const auto& plan = fault::default_plan()) {
-    cfg.serve_faults = plan->serve;
-    cfg.fault_seed = plan->seed;
-  }
-  cfg.telemetry = telemetry::StoreConfig::from_env();
+  cfg.checkpoint_cap_kb = core::env::u64_or(
+      "RTAD_SERVE_CHECKPOINT_CAP_KB", cfg.checkpoint_cap_kb, kMaxKb);
+  cfg.telemetry.spill_path = core::env::string_or("RTAD_TELEMETRY", "");
+  cfg.telemetry.cap_bytes =
+      core::env::u64_or("RTAD_TELEMETRY_CAP_KB", 0, kMaxKb) * 1024;
+  cfg.telemetry.page_samples = core::env::positive_or(
+      "RTAD_TELEMETRY_PAGE", cfg.telemetry.page_samples);
   cfg.ensemble = core::EnsembleParams::from_env();
   return cfg;
 }
@@ -121,7 +130,7 @@ Service::Service(ServiceConfig cfg,
     : cfg_(std::move(cfg)),
       cache_(cache ? std::move(cache)
                    : std::make_shared<core::TrainedModelCache>()),
-      pool_(jobs) {
+      pool_(core::resolve_jobs(jobs)) {
   if (cfg_.quantum_ps == 0) {
     throw std::invalid_argument("Service: quantum_ps must be nonzero");
   }

@@ -20,17 +20,19 @@
 // function of the schedules, so the whole recovery story is byte-identical
 // across RTAD_JOBS and both scheduler kernels.
 //
-// Knobs (all parsed through core::env — malformed values throw):
+// Knobs (ServiceConfig::from_env, all parsed through core::env — malformed
+// values throw; a plain ServiceConfig reads none of them):
 //   RTAD_SERVE_POLICY      overload policy: shed|degrade   (default shed)
 //   RTAD_SERVE_RETRY            re-offer budget per refused request (0)
 //   RTAD_SERVE_CHECKPOINT_CAP_KB  parked-blob byte cap, KiB; 0 = off (0)
 //   RTAD_TELEMETRY              telemetry spill file (see telemetry/)
 //   RTAD_TELEMETRY_CAP_KB       telemetry resident byte cap, KiB  (0=off)
 //   RTAD_TELEMETRY_PAGE         tier-0 samples per telemetry page   (64)
-//   RTAD_TELEMETRY_HALF_LIFE_US ranking recency half-life, simulated us;
-//                               0 = (window span)/4 (telemetry/query.hpp)
 //   RTAD_ENSEMBLE_*             rolling ensemble per tenant (see
 //                               core::EnsembleParams::from_env)
+//   RTAD_SCHED, RTAD_BACKEND, RTAD_FAULTS, RTAD_TRACE_PROTO, ...
+//                               per-episode options (see
+//                               core::DetectionOptions::from_env)
 #pragma once
 
 #include <cstddef>
@@ -120,9 +122,10 @@ struct ServiceReport : FleetCounters {
 
 class Service {
  public:
-  /// `jobs == 0` resolves via RTAD_JOBS. Pass a cache to share trained
-  /// models across services (the bench sweeps several offered loads on one
-  /// cache so each benchmark trains exactly once). Throws
+  /// `jobs == 0` resolves via core::resolve_jobs (RTAD_JOBS). Pass a cache
+  /// to share trained models across services (the bench sweeps several
+  /// offered loads on one cache so each benchmark trains exactly once).
+  /// Throws
   /// std::invalid_argument when cfg.quantum_ps is zero (advance(0) makes
   /// no progress, so no lane could ever finish a session).
   explicit Service(ServiceConfig cfg,

@@ -4,22 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "rtad/core/env.hpp"
-
 namespace rtad::sim {
-
-SchedMode default_sched_mode() {
-  // Resolved once per process: every SocConfig/Simulator default
-  // construction used to re-read RTAD_SCHED, and anything but the literal
-  // "dense" silently meant "event" — a typo'd kernel selection now throws
-  // on first use instead.
-  static const SchedMode mode =
-      core::env::choice_or("RTAD_SCHED", {"dense", "event"}, "event") ==
-              "dense"
-          ? SchedMode::kDense
-          : SchedMode::kEventDriven;
-  return mode;
-}
 
 const char* to_string(SchedMode mode) noexcept {
   return mode == SchedMode::kDense ? "dense" : "event";

@@ -45,15 +45,11 @@ enum class SchedMode : std::uint8_t {
   kEventDriven,  ///< skip quiescent edge groups via wake hints
 };
 
-/// Scheduler mode selected by the RTAD_SCHED environment variable
-/// ("dense" or "event"); defaults to the event-driven kernel.
-SchedMode default_sched_mode();
-
 const char* to_string(SchedMode mode) noexcept;
 
 class Simulator {
  public:
-  Simulator() : mode_(default_sched_mode()) {
+  Simulator() {
     skipped_groups_ = &stats_.counter("sim.skipped_edge_groups");
   }
 
@@ -167,7 +163,7 @@ class Simulator {
   /// Index of the domain currently being ticked inside fire_group_at();
   /// kNotFiring between groups. Decides same-timestamp wake visibility.
   std::size_t firing_index_ = kNotFiring;
-  SchedMode mode_;
+  SchedMode mode_ = SchedMode::kEventDriven;
   StatsRegistry stats_;
   Counter* skipped_groups_ = nullptr;
 

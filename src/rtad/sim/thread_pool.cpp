@@ -1,8 +1,6 @@
 #include "rtad/sim/thread_pool.hpp"
 
-#include <string>
-
-#include "rtad/core/env.hpp"
+#include <algorithm>
 
 namespace rtad::sim {
 
@@ -16,7 +14,9 @@ thread_local std::size_t tls_worker = 0;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
-  if (workers == 0) workers = jobs_from_env();
+  if (workers == 0) {
+    workers = std::max(1u, std::thread::hardware_concurrency());
+  }
   queues_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
@@ -34,13 +34,6 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::size_t ThreadPool::jobs_from_env(const char* name) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  // Malformed counts throw (core::env) — RTAD_JOBS=fulL used to silently
-  // mean "hardware_concurrency", which defeats the knob's whole point.
-  return core::env::positive_or(name, hw == 0 ? 1 : hw);
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {

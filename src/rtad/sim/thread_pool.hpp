@@ -29,8 +29,8 @@ namespace rtad::sim {
 
 class ThreadPool {
  public:
-  /// `workers == 0` resolves via jobs_from_env() (RTAD_JOBS, else
-  /// hardware_concurrency).
+  /// `workers == 0` means std::thread::hardware_concurrency() (at least
+  /// 1).
   explicit ThreadPool(std::size_t workers = 0);
 
   /// Drains every queued task (they run, their futures become ready), then
@@ -55,11 +55,6 @@ class ThreadPool {
     enqueue([task] { (*task)(); });
     return future;
   }
-
-  /// Worker count from the environment: RTAD_JOBS if set, else
-  /// std::thread::hardware_concurrency() (at least 1). A set-but-malformed
-  /// value (non-numeric, zero, negative) throws std::invalid_argument.
-  static std::size_t jobs_from_env(const char* name = "RTAD_JOBS");
 
  private:
   struct WorkerQueue {

@@ -1,6 +1,7 @@
 #include "rtad/telemetry/page.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "rtad/core/blob_codec.hpp"
 
@@ -111,6 +112,11 @@ Page Page::parse(const std::uint8_t* data, std::size_t size) {
 
   Page page;
   page.tier = r.u8();
+  if (page.tier > 2) {
+    std::string what = "telemetry::Page: tier ";
+    what += std::to_string(page.tier);
+    throw TelemetryError(what + " is not 0, 1, or 2");
+  }
   const std::uint32_t total = r.u32();
   if (total != size) {
     throw TelemetryError("telemetry::Page: length mismatch");
@@ -118,6 +124,13 @@ Page Page::parse(const std::uint8_t* data, std::size_t size) {
   page.tenant = r.str();
   page.seq = r.u64();
   const std::uint32_t count = r.u32();
+  // Bound count by the bytes actually present before reserving: a forged
+  // count must be a named error, not a multi-gigabyte allocation.
+  if (count > r.remaining() / (page.tier == 0 ? kSampleBytes : kBinBytes)) {
+    std::string what = "telemetry::Page: count ";
+    what += std::to_string(count);
+    throw TelemetryError(what + " exceeds the payload");
+  }
   if (page.tier == 0) {
     page.samples.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rtad/core/env.hpp"
-
 namespace rtad::telemetry {
 
 namespace {
@@ -23,13 +21,6 @@ SummaryBin tail_bin(const TelemetryStore::Stream& stream) {
 }
 
 }  // namespace
-
-sim::Picoseconds default_half_life_ps() {
-  // Resolved per call (not cached): the knob is cheap to read and tests
-  // flip it between queries. Strict grammar — a malformed value throws
-  // naming the variable instead of silently decaying to the span/4 rule.
-  return core::env::u64_or("RTAD_TELEMETRY_HALF_LIFE_US", 0) * 1'000'000ULL;
-}
 
 Series series(const TelemetryStore& store, const std::string& tenant,
               std::uint8_t tier, sim::Picoseconds t0, sim::Picoseconds t1) {
@@ -74,7 +65,6 @@ std::vector<RankEntry> rank_tenants(const TelemetryStore& store,
   const sim::Picoseconds window_end = std::min(query.t1, store.last_ps());
   const sim::Picoseconds window_begin = std::max(query.t0, store.first_ps());
   sim::Picoseconds half_life = query.half_life_ps;
-  if (half_life == 0) half_life = default_half_life_ps();
   if (half_life == 0) {
     half_life = window_end > window_begin ? (window_end - window_begin) / 4
                                           : sim::Picoseconds{1};

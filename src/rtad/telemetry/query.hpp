@@ -11,11 +11,9 @@
 //
 // so a tenant flagging *now* outranks one that flagged the same fraction of
 // its samples long ago. When the query leaves half_life at 0 it resolves
-// through RTAD_TELEMETRY_HALF_LIFE_US (strict core/env grammar; 0 or unset
-// defers) and finally to a quarter of the evaluated window. Ties (including
-// the all-zero tail) break by tenant name, so the
-// ranking is a total order — byte-identical across runs, schedulers, and
-// worker counts.
+// to a quarter of the evaluated window. Ties (including the all-zero tail)
+// break by tenant name, so the ranking is a total order — byte-identical
+// across runs, schedulers, and worker counts.
 //
 // series() materializes one tenant's stream at any tier inside a window:
 // tier 0 returns raw points (skipping pages whose payload was evicted under
@@ -65,19 +63,11 @@ struct RankEntry {
 struct RankQuery {
   sim::Picoseconds t0 = 0;
   sim::Picoseconds t1 = ~sim::Picoseconds{0};
-  /// Recency half-life; 0 resolves through RTAD_TELEMETRY_HALF_LIFE_US
-  /// (microseconds; see default_half_life_ps) and then to (window span)/4,
-  /// where the span is the query window clipped to the store's populated
-  /// extent.
+  /// Recency half-life; 0 means (window span)/4, where the span is the
+  /// query window clipped to the store's populated extent.
   sim::Picoseconds half_life_ps = 0;
   std::size_t top_k = 0;  ///< truncate the ranking; 0 = all tenants
 };
-
-/// The process-level half-life override: RTAD_TELEMETRY_HALF_LIFE_US
-/// converted to picoseconds, 0 when unset (meaning "use the span/4 rule").
-/// Re-read from the environment on every call. Throws std::invalid_argument
-/// on malformed values (strict core/env grammar).
-sim::Picoseconds default_half_life_ps();
 
 /// Evaluate every tenant stream over the window and return them ranked by
 /// severity (descending; ties by tenant name ascending). Tenants with no

@@ -3,18 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "rtad/core/env.hpp"
-
 namespace rtad::telemetry {
-
-StoreConfig StoreConfig::from_env() {
-  StoreConfig cfg;
-  cfg.spill_path = core::env::string_or("RTAD_TELEMETRY", cfg.spill_path);
-  cfg.cap_bytes = core::env::u64_or("RTAD_TELEMETRY_CAP_KB", 0) * 1024;
-  cfg.page_samples =
-      core::env::positive_or("RTAD_TELEMETRY_PAGE", cfg.page_samples);
-  return cfg;
-}
 
 TelemetryStore::TelemetryStore(StoreConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.page_samples == 0) cfg_.page_samples = 1;

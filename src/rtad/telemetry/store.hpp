@@ -7,10 +7,10 @@
 // tiny and stay resident forever; sealed tier-0 payloads are what the byte
 // cap governs. When resident sealed bytes exceed `cap_bytes` the oldest
 // sealed page (global seal order — FIFO, the ring) is evicted: its
-// serialized bytes are appended to the `spill_path` file (RTAD_TELEMETRY)
-// if one is configured, then the in-memory payload is dropped. Evicted
-// pages keep their identity and their tier-1 summary, so ranked queries
-// never lose coverage — only raw-point extraction does.
+// serialized bytes are appended to the `spill_path` file if one is
+// configured, then the in-memory payload is dropped. Evicted pages keep
+// their identity and their tier-1 summary, so ranked queries never lose
+// coverage — only raw-point extraction does.
 //
 // Determinism: append() is single-writer (the Service ingests the merged
 // per-shard record list in canonical order), streams iterate in tenant-name
@@ -18,10 +18,9 @@
 // observable state, including the spill file, is byte-identical across
 // RTAD_SCHED, RTAD_JOBS, and RTAD_BACKEND.
 //
-// Knobs (StoreConfig::from_env, strict core::env grammar):
-//   RTAD_TELEMETRY         spill file path; empty = evict without spilling
-//   RTAD_TELEMETRY_CAP_KB  resident sealed-page byte cap, KiB; 0 = unbounded
-//   RTAD_TELEMETRY_PAGE    tier-0 samples per page          (default 64)
+// StoreConfig is plain data; serve::ServiceConfig::from_env fills it from
+// RTAD_TELEMETRY (spill path), RTAD_TELEMETRY_CAP_KB and
+// RTAD_TELEMETRY_PAGE.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +40,6 @@ struct StoreConfig {
   std::size_t fanout = 16;        ///< tier-1 bins per tier-2 bin
   std::uint64_t cap_bytes = 0;    ///< resident sealed-page cap; 0 = unbounded
   std::string spill_path;         ///< evicted pages land here; empty = drop
-
-  /// Resolve RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE
-  /// (throws on malformed values, like every RTAD_* knob).
-  static StoreConfig from_env();
 };
 
 class TelemetryStore {

@@ -1,6 +1,5 @@
 #include "rtad/trace/protocol.hpp"
 
-#include "rtad/core/env.hpp"
 #include "rtad/trace/etrace.hpp"
 #include "rtad/trace/pft.hpp"
 
@@ -12,17 +11,6 @@ const char* to_string(TraceProtocol proto) noexcept {
     case TraceProtocol::kEtrace: return "etrace";
   }
   return "?";
-}
-
-TraceProtocol default_trace_protocol() {
-  // Resolved once per process, like default_sched_mode(): a typo'd protocol
-  // must abort the run, not silently fall back to PFT.
-  static const TraceProtocol proto =
-      core::env::choice_or("RTAD_TRACE_PROTO", {"pft", "etrace"}, "pft") ==
-              "pft"
-          ? TraceProtocol::kPft
-          : TraceProtocol::kEtrace;
-  return proto;
 }
 
 const ProtocolTraits& traits(TraceProtocol proto) noexcept {

@@ -28,11 +28,6 @@ enum class TraceProtocol : std::uint8_t {
 
 const char* to_string(TraceProtocol proto) noexcept;
 
-/// Process-default protocol: RTAD_TRACE_PROTO=pft|etrace through the strict
-/// core/env grammar (malformed values throw), resolved once per process
-/// like RTAD_SCHED / RTAD_BACKEND. Unset means pft — the paper's hardware.
-TraceProtocol default_trace_protocol();
-
 /// Structural assumptions a protocol imposes on the pipeline, made explicit
 /// so downstream consumers (AddressMapper tables, vector encoders) never
 /// bake one protocol's geometry in silently.

@@ -4,7 +4,6 @@
 // recovery.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -53,17 +52,6 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("trace.bit_flip"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("igm.drop_resync=maybe"),
                std::invalid_argument);
-}
-
-TEST(FaultPlan, ReadsEnvironment) {
-  ::setenv("RTAD_FAULTS", "trace.drop=0.5", 1);
-  const auto plan = plan_from_env();
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_DOUBLE_EQ(plan->rate(FaultSite::kTraceDropByte), 0.5);
-  ::setenv("RTAD_FAULTS", "", 1);
-  EXPECT_FALSE(plan_from_env().has_value());
-  ::unsetenv("RTAD_FAULTS");
-  EXPECT_FALSE(plan_from_env().has_value());
 }
 
 // -------------------------------------------------------- FaultInjector

@@ -214,13 +214,10 @@ std::shared_ptr<core::TrainedModelCache> shared_cache() {
   return cache;
 }
 
-/// Options with the ambient RTAD_TRACE/RTAD_METRICS (if any) cleared, so the
-/// test controls exactly which runs export files.
+/// Short cells; no exports unless a test sets a path.
 core::DetectionOptions base_options() {
   core::DetectionOptions opt;
   opt.attacks = 2;
-  opt.trace_path.clear();
-  opt.metrics_path.clear();
   return opt;
 }
 

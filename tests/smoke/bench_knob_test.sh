@@ -31,4 +31,14 @@ expect_exit2 ablation_energy RTAD_JOBS abc
 expect_exit2 fig6_overhead RTAD_SCHED bogus
 expect_exit2 fig7_transfer RTAD_SCHED bogus
 expect_exit2 ablation_rule_based RTAD_SCHED bogus
+# Every SoC-running bench the determinism smokes drive reads the execution
+# knobs before it trains.
+for bench in fig8_detection fault_sweep serve_throughput serve_failover \
+    ensemble_drift; do
+  expect_exit2 "${bench}" RTAD_SCHED bogus
+  expect_exit2 "${bench}" RTAD_BACKEND bogus
+done
+expect_exit2 fig8_detection RTAD_TRACE_PROTO bogus
+expect_exit2 fig8_detection RTAD_FAULTS no_such_key=1
+expect_exit2 serve_throughput RTAD_SERVE_POLICY bogus
 exit "${status}"

@@ -101,15 +101,14 @@ TEST(Experiment, OverheadOrderingMatchesPaper) {
   auto p = workloads::find_profile("astar");
   p.syscall_interval_instrs = 1'500'000;
   const std::uint64_t n = 3'000'000;
-  const double baseline =
-      measure_overhead(p, cpu::InstrumentationMode::kBaseline, n);
-  const double rtad = measure_overhead(p, cpu::InstrumentationMode::kRtad, n);
-  const double sw_sys =
-      measure_overhead(p, cpu::InstrumentationMode::kSwSys, n);
-  const double sw_func =
-      measure_overhead(p, cpu::InstrumentationMode::kSwFunc, n);
-  const double sw_all =
-      measure_overhead(p, cpu::InstrumentationMode::kSwAll, n);
+  const auto overhead = [&](cpu::InstrumentationMode mode) {
+    return measure_overhead(p, mode, DetectionOptions{}, n);
+  };
+  const double baseline = overhead(cpu::InstrumentationMode::kBaseline);
+  const double rtad = overhead(cpu::InstrumentationMode::kRtad);
+  const double sw_sys = overhead(cpu::InstrumentationMode::kSwSys);
+  const double sw_func = overhead(cpu::InstrumentationMode::kSwFunc);
+  const double sw_all = overhead(cpu::InstrumentationMode::kSwAll);
   EXPECT_EQ(baseline, 0.0);
   EXPECT_LT(rtad, 0.2);
   EXPECT_GT(rtad, 0.0);
@@ -129,7 +128,7 @@ TEST(Experiment, SwTransferBreakdownNearPaper) {
 TEST(Experiment, RtadTransferMuchFasterThanSw) {
   const auto& m = shared_models();
   const auto rtad = measure_rtad_transfer(fast_profile(), m, ModelKind::kLstm,
-                                          EngineKind::kMlMiaow, 10);
+                                          EngineKind::kMlMiaow, {}, 10);
   const auto sw = sw_transfer_breakdown(32);
   EXPECT_GT(rtad.step1_us, 0.0);
   EXPECT_NEAR(rtad.step2_us, 0.016, 1e-6);  // 2 cycles @ 125 MHz

@@ -15,10 +15,11 @@
 //      tie-broken by tenant name, and biased toward tenants flagging now.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,16 @@ std::uint64_t test_fnv1a(const std::uint8_t* data, std::size_t size) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// Re-seal a mutated page: overwrite its trailing digest with the FNV-1a of
+/// the bytes before it, so parse() reaches the field under test instead of
+/// stopping at the digest check.
+void repair_digest(std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t digest = test_fnv1a(bytes.data(), bytes.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<std::uint8_t>(digest >> (8 * i));
+  }
 }
 
 Sample make_sample(sim::Picoseconds at, double score, bool flagged = false,
@@ -154,11 +165,7 @@ TEST(TelemetryPage, ParseRejectsEveryCorruption) {
   {
     auto wrong = bytes;
     wrong[7] = '2';  // "RTADTEL2"
-    const std::uint64_t digest = test_fnv1a(wrong.data(), wrong.size() - 8);
-    for (int i = 0; i < 8; ++i) {
-      wrong[wrong.size() - 8 + i] =
-          static_cast<std::uint8_t>(digest >> (8 * i));
-    }
+    repair_digest(wrong);
     EXPECT_THROW(Page::parse(wrong), TelemetryError);
   }
   // Trailing bytes past the declared length are rejected, not ignored.
@@ -169,6 +176,44 @@ TEST(TelemetryPage, ParseRejectsEveryCorruption) {
   }
   // The original still parses — the mutations above copied.
   EXPECT_NO_THROW(Page::parse(bytes));
+}
+
+TEST(TelemetryPage, ForgedHeadersWithValidDigestsAreNamedErrors) {
+  Page page;
+  page.tenant = "tenant";
+  page.tier = 0;
+  page.samples.push_back(make_sample(5, 0.5, true));
+  const auto bytes = page.serialize();
+  // Offsets: magic 0..7, tier 8, total 9..12, tenant length 13..16, tenant
+  // 17..22, seq 23..30, count 31..34, then one 21-byte sample.
+  struct Forgery {
+    const char* what;
+    std::size_t offset;
+    std::vector<std::uint8_t> patch;
+    const char* field;  ///< the error must name it
+  };
+  const Forgery forgeries[] = {
+      {"tier 7", 8, {7}, "tier"},
+      {"tier 3", 8, {3}, "tier"},
+      {"tier 1 over a sample payload", 8, {1}, "count"},
+      {"count 0xFFFFFFFF", 31, {0xFF, 0xFF, 0xFF, 0xFF}, "count"},
+      {"count one past the payload", 31, {2, 0, 0, 0}, "count"},
+  };
+  for (const Forgery& f : forgeries) {
+    auto forged = bytes;
+    std::copy(f.patch.begin(), f.patch.end(),
+              forged.begin() + static_cast<std::ptrdiff_t>(f.offset));
+    repair_digest(forged);
+    try {
+      Page::parse(forged);
+      ADD_FAILURE() << f.what << ": parsed";
+    } catch (const TelemetryError& e) {
+      EXPECT_NE(std::string(e.what()).find(f.field), std::string::npos)
+          << f.what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << f.what << ": unnamed " << e.what();
+    }
+  }
 }
 
 TEST(TelemetryStore, TiersConserveSamplesFlagsAndScoreMass) {
@@ -363,12 +408,7 @@ TEST(TelemetryQuery, RankPrefersRecentFlagsAndBreaksTiesByName) {
   EXPECT_EQ(head[0].tenant, "warm");
 }
 
-TEST(TelemetryQuery, HalfLifeKnobReplacesTheSpanQuarterDefault) {
-  constexpr const char* kVar = "RTAD_TELEMETRY_HALF_LIFE_US";
-  ASSERT_EQ(unsetenv(kVar), 0);
-  // Unset: no knob half-life — rank_tenants falls through to span/4.
-  EXPECT_EQ(default_half_life_ps(), 0u);
-
+TEST(TelemetryQuery, ExplicitHalfLifeReplacesTheSpanQuarterDefault) {
   StoreConfig cfg;
   cfg.page_samples = 4;
   TelemetryStore store(cfg);
@@ -377,36 +417,29 @@ TEST(TelemetryQuery, HalfLifeKnobReplacesTheSpanQuarterDefault) {
     store.append("hot", make_sample(100 * (i + 1), 0.5, i >= 12));
   }
 
-  // The knob is read per query and pins the documented unit (simulated
-  // microseconds): a query with the knob set equals one passing the same
-  // half-life explicitly, field for field.
-  ASSERT_EQ(setenv(kVar, "250", 1), 0);
-  EXPECT_EQ(default_half_life_ps(), 250u * 1'000'000ULL);
-  const auto via_knob = rank_tenants(store);
-  ASSERT_EQ(unsetenv(kVar), 0);
+  // Unset half-life: a quarter of the populated span (100..1600 ps), field
+  // for field the same as passing that half-life explicitly.
+  const auto by_default = rank_tenants(store);
+  RankQuery quarter;
+  quarter.half_life_ps = (1600 - 100) / 4;
+  const auto via_quarter = rank_tenants(store, quarter);
+  ASSERT_EQ(by_default.size(), via_quarter.size());
+  for (std::size_t i = 0; i < by_default.size(); ++i) {
+    EXPECT_EQ(by_default[i].tenant, via_quarter[i].tenant);
+    EXPECT_EQ(by_default[i].severity, via_quarter[i].severity);
+    EXPECT_EQ(by_default[i].samples, via_quarter[i].samples);
+  }
+
+  // An explicit half-life replaces the rule: one far beyond the span
+  // weighs early and late flags almost alike, so the recency gap between
+  // the hot and the warm tenant all but closes.
   RankQuery explicit_hl;
   explicit_hl.half_life_ps = 250u * 1'000'000ULL;
-  const auto via_query = rank_tenants(store, explicit_hl);
-  ASSERT_EQ(via_knob.size(), via_query.size());
-  for (std::size_t i = 0; i < via_knob.size(); ++i) {
-    EXPECT_EQ(via_knob[i].tenant, via_query[i].tenant);
-    EXPECT_EQ(via_knob[i].severity, via_query[i].severity);
-    EXPECT_EQ(via_knob[i].samples, via_query[i].samples);
-  }
-
-  // An explicit half-life on the query wins over the knob.
-  ASSERT_EQ(setenv(kVar, "999999", 1), 0);
-  const auto overridden = rank_tenants(store, explicit_hl);
-  ASSERT_EQ(overridden.size(), via_query.size());
-  for (std::size_t i = 0; i < overridden.size(); ++i) {
-    EXPECT_EQ(overridden[i].severity, via_query[i].severity);
-  }
-
-  // Malformed values throw the strict env grammar's named error rather
-  // than silently decaying to span/4.
-  ASSERT_EQ(setenv(kVar, "soon", 1), 0);
-  EXPECT_THROW(rank_tenants(store), std::invalid_argument);
-  ASSERT_EQ(unsetenv(kVar), 0);
+  const auto flat = rank_tenants(store, explicit_hl);
+  ASSERT_EQ(flat.size(), 2u);
+  ASSERT_EQ(by_default[0].tenant, "hot");
+  const double default_gap = by_default[0].severity - by_default[1].severity;
+  EXPECT_LT(std::abs(flat[0].severity - flat[1].severity), default_gap / 100);
 }
 
 }  // namespace

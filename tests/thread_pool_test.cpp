@@ -1,11 +1,11 @@
 // Work-stealing thread-pool unit tests: result ordering, exception
-// propagation, drain-on-shutdown, nested submission, env sizing, and a
-// ThreadSanitizer-friendly stress case.
+// propagation, drain-on-shutdown, nested submission, zero-worker sizing,
+// and a ThreadSanitizer-friendly stress case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -85,25 +85,10 @@ TEST(ThreadPool, NestedSubmitFromWorkerCompletes) {
   EXPECT_EQ(children.load(), 8);
 }
 
-TEST(ThreadPool, JobsFromEnvParsesAndRejectsMalformedValues) {
-  ASSERT_EQ(setenv("RTAD_TEST_JOBS", "3", 1), 0);
-  EXPECT_EQ(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"), 3u);
-  // Malformed counts used to silently decay to hardware_concurrency; they
-  // are a loud error now (core::env consolidation).
-  ASSERT_EQ(setenv("RTAD_TEST_JOBS", "0", 1), 0);
-  EXPECT_THROW(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"),
-               std::invalid_argument);
-  ASSERT_EQ(setenv("RTAD_TEST_JOBS", "not-a-number", 1), 0);
-  EXPECT_THROW(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"),
-               std::invalid_argument);
-  ASSERT_EQ(setenv("RTAD_TEST_JOBS", "3extra", 1), 0);
-  EXPECT_THROW(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"),
-               std::invalid_argument);
-  // Unset and empty both mean "use the hardware default".
-  ASSERT_EQ(setenv("RTAD_TEST_JOBS", "", 1), 0);
-  EXPECT_GE(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"), 1u);
-  ASSERT_EQ(unsetenv("RTAD_TEST_JOBS"), 0);
-  EXPECT_GE(ThreadPool::jobs_from_env("RTAD_TEST_JOBS"), 1u);
+TEST(ThreadPool, ZeroWorkersMeansHardwareConcurrency) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.worker_count(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // Many tiny tasks from many submitters, results written to disjoint slots:
