@@ -331,6 +331,9 @@ int run() {
     json.field("serve_on_wall_ms", serve_on_wall_ms);
     json.field("retrain_wall_ms",
                static_cast<double>(serve_on.retrain_wall_ns) / 1e6);
+    // Distinct trainings behind every generation above: one per (profile,
+    // side, drift phase), however many generations share a phase.
+    json.field("trainings", static_cast<std::uint64_t>(cache->trainings()));
   };
   bench::write_json("ensemble_drift", "BENCH_ensemble.json", body, host);
   return gates.exit_code();

@@ -89,11 +89,9 @@ SocConfig soc_config(const workloads::SpecProfile& profile, ModelKind model,
 }
 
 TrainedModels train_models(const workloads::SpecProfile& profile,
-                           const TrainingOptions& options,
-                           std::uint64_t drift_at_ps) {
+                           const TrainingOptions& options) {
   TrainedModels out;
-  out.features = std::make_unique<ml::DatasetBuilder>(
-      profile, options.seed, ml::FeatureConfig{}, drift_at_ps);
+  out.features = std::make_unique<ml::DatasetBuilder>(profile, options.seed);
   train_model_side(out, ModelKind::kLstm, options);
   train_model_side(out, ModelKind::kElm, options);
   return out;

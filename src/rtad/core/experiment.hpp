@@ -48,18 +48,12 @@ struct TrainedModels {
   }
 };
 
-/// `drift_at_ps` is the drift-schedule instant the training snapshot is
-/// taken at (see ml::DatasetBuilder) — the ensemble layer trains each
-/// generation on the trailing window of the drifting workload. 0 (and any
-/// value, on a profile without an active schedule) reproduces the frozen
-/// baseline training bit-for-bit.
 TrainedModels train_models(const workloads::SpecProfile& profile,
-                           const TrainingOptions& options = {},
-                           std::uint64_t drift_at_ps = 0);
+                           const TrainingOptions& options = {});
 
 /// Train one model side (host model, threshold, device image) into `out`,
 /// whose `features` must already be built. Factored out of train_models()
-/// so the ensemble layer can retrain only the deployed kind per generation
+/// so TrainedModelCache can train only the deployed kind per drift phase
 /// without paying for the other side; calling it for both kinds reproduces
 /// train_models() bit-for-bit (the two sides draw from independent RNG
 /// streams).

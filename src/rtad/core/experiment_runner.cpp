@@ -1,6 +1,7 @@
 #include "rtad/core/experiment_runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -35,86 +36,94 @@ TrainedModelCache::TrainedModelCache(TrainingOptions options,
       }) {}
 
 const TrainedModels& TrainedModelCache::get(const std::string& benchmark) {
+  return train_once(resolver_(benchmark), std::nullopt, 0);
+}
+
+const TrainedModels& TrainedModelCache::get(const std::string& benchmark,
+                                            ModelKind kind,
+                                            std::uint32_t phase) {
+  return train_once(resolver_(benchmark),
+                    phase == 0 ? std::nullopt : std::optional(kind), phase);
+}
+
+const TrainedModels& TrainedModelCache::train_once(
+    const workloads::SpecProfile& profile, std::optional<ModelKind> kind,
+    std::uint32_t phase) {
   Entry* entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = entries_[benchmark];
+    auto& slot = entries_[Key{profile.name, kind, phase}];
     if (!slot) slot = std::make_unique<Entry>();
     entry = slot.get();
   }
-  // Training runs outside the map lock so distinct benchmarks train
-  // concurrently; peers of the *same* benchmark block here on the thread
-  // actively training it.
+  // Training runs outside the map lock so distinct keys train concurrently;
+  // peers of the *same* key block here on the thread actively training it.
   std::call_once(entry->once, [&] {
-    entry->models = std::make_unique<const TrainedModels>(
-        train_models(resolver_(benchmark), options_));
+    if (!kind) {
+      entry->models = std::make_unique<const TrainedModels>(
+          train_models(profile, options_));
+    } else {
+      auto models = std::make_unique<TrainedModels>();
+      models->features = std::make_unique<ml::DatasetBuilder>(
+          profile, options_.seed, ml::FeatureConfig{},
+          phase * profile.drift.period_us * sim::kPsPerUs);
+      train_model_side(*models, *kind, options_);
+      entry->models = std::move(models);
+    }
     trainings_.fetch_add(1, std::memory_order_relaxed);
   });
   return *entry->models;
 }
 
 GenerationCache::GenerationCache(std::shared_ptr<TrainedModelCache> base,
-                                 EnsembleParams params, sim::ThreadPool* pool)
-    : base_(std::move(base)), params_(params), pool_(pool) {}
+                                 EnsembleParams params)
+    : base_(std::move(base)), params_(params) {}
 
 const TrainedModels& GenerationCache::get(const std::string& benchmark,
                                           ModelKind kind,
                                           std::uint32_t generation) {
   if (generation == 0) return base_->get(benchmark);
-
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = entries_[Key{benchmark, static_cast<std::uint8_t>(kind),
-                              generation}];
-    if (!slot) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  std::call_once(entry->once, [&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    const TrainingOptions& opts = base_->options();
-    auto models = std::make_unique<TrainedModels>();
-    models->features = std::make_unique<ml::DatasetBuilder>(
-        base_->profile(benchmark), opts.seed, ml::FeatureConfig{},
-        params_.training_snapshot_ps(generation));
-    train_model_side(*models, kind, opts);
-    entry->models = std::move(models);
-    generations_trained_.fetch_add(1, std::memory_order_relaxed);
-    retrain_work_units_.fetch_add(
-        kind == ModelKind::kElm ? opts.elm_train_windows + opts.elm_val_windows
-                                : opts.lstm_train_tokens + opts.lstm_val_tokens,
-        std::memory_order_relaxed);
-    retrain_wall_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-  });
-  return *entry->models;
+  const std::uint32_t phase = base_->profile(benchmark).drift.phase_at_ps(
+      params_.training_snapshot_ps(generation));
+  const auto t0 = std::chrono::steady_clock::now();
+  const TrainedModels& models = base_->get(benchmark, kind, phase);
+  const std::chrono::nanoseconds wall = std::chrono::steady_clock::now() - t0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  note(benchmark, kind, generation);
+  if (phase != 0) retrain_wall_ns_ += wall.count();
+  return models;
 }
 
-void GenerationCache::prefetch(const std::string& benchmark, ModelKind kind,
+void GenerationCache::schedule(const std::string& benchmark, ModelKind kind,
                                std::uint32_t up_to_generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
   for (std::uint32_t gen = 1; gen <= up_to_generation; ++gen) {
-    if (pool_ == nullptr) {
-      get(benchmark, kind, gen);
-      continue;
-    }
-    auto fut = pool_->submit(
-        [this, benchmark, kind, gen] { get(benchmark, kind, gen); });
-    std::lock_guard<std::mutex> lock(mutex_);
-    prefetches_.push_back(std::move(fut));
+    note(benchmark, kind, gen);
   }
 }
 
-void GenerationCache::drain() {
-  std::vector<std::future<void>> pending;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending.swap(prefetches_);
-  }
-  for (auto& f : pending) f.get();
+void GenerationCache::note(const std::string& benchmark, ModelKind kind,
+                           std::uint32_t generation) {
+  if (!census_.emplace(benchmark, kind, generation).second) return;
+  const TrainingOptions& opts = base_->options();
+  retrain_work_units_ +=
+      kind == ModelKind::kElm ? opts.elm_train_windows + opts.elm_val_windows
+                              : opts.lstm_train_tokens + opts.lstm_val_tokens;
+}
+
+std::uint64_t GenerationCache::generations_trained() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return census_.size();
+}
+
+std::uint64_t GenerationCache::retrain_work_units() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return retrain_work_units_;
+}
+
+std::uint64_t GenerationCache::retrain_wall_ns() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return retrain_wall_ns_;
 }
 
 std::size_t resolve_jobs(std::size_t jobs) {

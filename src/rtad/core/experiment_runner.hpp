@@ -6,22 +6,23 @@
 // so the matrix fans out across a work-stealing pool. Two invariants:
 //
 //   1. Train once per benchmark. TrainedModelCache runs LSTM BPTT + the
-//      ELM solve exactly once per benchmark and deploys the same images on
-//      both MIAOW and ML-MIAOW — retraining per engine would double the
-//      dominant cost and is what the serial benches used to do.
+//      ELM solve exactly once per profile (and drift phase) and deploys the
+//      same images on both MIAOW and ML-MIAOW — retraining per engine would
+//      double the dominant cost and is what the serial benches used to do.
 //   2. Results are collected in submission order. Output is byte-identical
 //      for any worker count (RTAD_JOBS=1 vs =N); only wall-clock differs.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -31,10 +32,13 @@
 
 namespace rtad::core {
 
-/// Train-once-per-benchmark cache. Safe for concurrent get(): the first
-/// caller of a benchmark trains inline on its own thread (call_once);
-/// peers needing the same benchmark block on that running training, never
-/// on a queued task, so pool workers cannot deadlock.
+/// The one train-once cache, keyed by what training reads: the resolved
+/// profile name (so aliases share an entry), the trained side and the drift
+/// phase of the snapshot (a frozen DatasetBuilder reads its instant only
+/// through DriftSchedule::phase_at_ps). Safe for concurrent get(): the
+/// first caller of a key trains inline on its own thread (call_once); peers
+/// needing the same key block on that running training, never on a queued
+/// task, so pool workers cannot deadlock.
 class TrainedModelCache {
  public:
   /// Maps a benchmark name to the profile to train/run with. The default
@@ -52,11 +56,19 @@ class TrainedModelCache {
     return resolver_(benchmark);
   }
 
-  /// Models for `benchmark` (a name accepted by the resolver). The
-  /// reference stays valid for the cache's lifetime.
+  /// The anchor for `benchmark` (a name accepted by the resolver): both
+  /// sides trained at drift phase 0 from one DatasetBuilder. The reference
+  /// stays valid for the cache's lifetime.
   const TrainedModels& get(const std::string& benchmark);
 
-  /// Number of actual train_models() executions (== distinct benchmarks).
+  /// `kind`'s models trained at drift phase `phase` (below the profile's
+  /// DriftSchedule::phases): the anchor for phase 0; else only that side
+  /// (the other stays empty), from a DatasetBuilder frozen at the phase's
+  /// first instant.
+  const TrainedModels& get(const std::string& benchmark, ModelKind kind,
+                           std::uint32_t phase);
+
+  /// Number of trainings actually run: one per distinct key.
   std::size_t trainings() const noexcept {
     return trainings_.load(std::memory_order_relaxed);
   }
@@ -68,92 +80,66 @@ class TrainedModelCache {
     std::once_flag once;
     std::unique_ptr<const TrainedModels> models;
   };
+  /// (profile name, trained side or nullopt for both, drift phase).
+  using Key =
+      std::tuple<std::string, std::optional<ModelKind>, std::uint32_t>;
+
+  const TrainedModels& train_once(const workloads::SpecProfile& profile,
+                                  std::optional<ModelKind> kind,
+                                  std::uint32_t phase);
 
   TrainingOptions options_;
   ProfileResolver resolver_;
   mutable std::mutex mutex_;  ///< guards the map; entries train unlocked
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  std::map<Key, std::unique_ptr<Entry>> entries_;
   std::atomic<std::size_t> trainings_{0};
 };
 
-/// Generation-keyed model store for rolling ensembles, one per fleet.
-///
-/// Generalizes TrainedModelCache from "one frozen model per benchmark" to
-/// entries keyed by {benchmark, model kind, window generation}. Generation
-/// 0 is the anchor: the base cache's entry, so the rolling path reuses the
-/// exact weights (and device images) the frozen path deploys. Generation
-/// g >= 1 retrains the requested kind on the trailing trace window of the
-/// drifting workload — the dataset builder's drift snapshot is frozen at
-/// EnsembleParams::training_snapshot_ps(g) — with the *same* training
-/// options and seed as the anchor. On a workload with no active drift
-/// schedule every generation therefore reproduces the anchor's weights
-/// bit-for-bit, which makes a zero-drift rolling run byte-identical to the
-/// frozen baseline.
-///
-/// Training follows the base cache's call_once discipline. prefetch()
-/// submits upcoming generations to the thread pool fire-and-forget, so
-/// serve::Shard retrains off the hot path; a session that reaches a swap
-/// before its prefetch landed trains inline in get() — correctness never
-/// depends on prefetch timing, only wall clock does. drain() joins the
-/// outstanding prefetches so the counters are read race-free and stay
-/// byte-identical across worker counts.
+/// The fleet's view of a rolling-ensemble schedule, one per fleet. It
+/// trains nothing: get() maps generation g to the drift phase of
+/// EnsembleParams::training_snapshot_ps(g) and returns the base cache's
+/// entry, so generations sharing a phase are one model and phase-0
+/// generations (all of them, without active drift) are the anchor itself.
+/// It also keeps the census of scheduled (benchmark, kind, generation >= 1)
+/// keys noted by get() or schedule(): a pure function of the keys
+/// requested, so its counters are byte-identical across worker counts.
 class GenerationCache {
  public:
-  /// `pool` may be null: prefetch() then trains inline (tests, standalone
-  /// benches). The pool must outlive the cache.
   GenerationCache(std::shared_ptr<TrainedModelCache> base,
-                  EnsembleParams params, sim::ThreadPool* pool = nullptr);
+                  EnsembleParams params);
 
   /// Models of `generation` for (benchmark, kind). Blocks until trained;
-  /// the reference stays valid for the cache's lifetime. Generation 0 is
-  /// the base cache's frozen entry (both model kinds populated); later
-  /// generations train only the requested kind — the other side of the
-  /// returned TrainedModels is left empty.
+  /// the reference stays valid for the base cache's lifetime.
   const TrainedModels& get(const std::string& benchmark, ModelKind kind,
                            std::uint32_t generation);
 
-  /// Schedule training of generations 1..`up_to_generation` off the hot
-  /// path. Duplicate prefetches collapse onto the same call_once entries.
-  void prefetch(const std::string& benchmark, ModelKind kind,
+  /// Note generations 1..`up_to_generation` of (benchmark, kind) in the
+  /// census without obtaining their models.
+  void schedule(const std::string& benchmark, ModelKind kind,
                 std::uint32_t up_to_generation);
-  /// Wait for every outstanding prefetch. Call before reading counters.
-  void drain();
 
   const EnsembleParams& params() const noexcept { return params_; }
 
-  /// Generations actually retrained (excludes the anchor). A pure function
-  /// of the set of entries requested, so fleet-stable.
-  std::uint64_t generations_trained() const noexcept {
-    return generations_trained_.load(std::memory_order_relaxed);
-  }
-  /// Deterministic retrain work units: training tokens + windows collected
-  /// across all retrained generations (the simulated-cost proxy reported
-  /// in rtad.serve.v1).
-  std::uint64_t retrain_work_units() const noexcept {
-    return retrain_work_units_.load(std::memory_order_relaxed);
-  }
-  /// Host wall clock spent retraining. Diagnostics only — stderr and the
-  /// bench host object, never byte-stable output.
-  std::uint64_t retrain_wall_ns() const noexcept {
-    return retrain_wall_ns_.load(std::memory_order_relaxed);
-  }
+  /// Scheduled generations (excludes the anchor). Counts generations, not
+  /// trainings: see TrainedModelCache::trainings() for those.
+  std::uint64_t generations_trained() const;
+  /// Training tokens + windows of one training per scheduled generation
+  /// (the deterministic cost proxy reported in rtad.serve.v1).
+  std::uint64_t retrain_work_units() const;
+  /// Host wall clock get() spent obtaining models off phase 0. Diagnostics
+  /// only — stderr and the bench host object, never byte-stable output.
+  std::uint64_t retrain_wall_ns() const;
 
  private:
-  struct Entry {
-    std::once_flag once;
-    std::unique_ptr<const TrainedModels> models;
-  };
-  using Key = std::tuple<std::string, std::uint8_t, std::uint32_t>;
+  void note(const std::string& benchmark, ModelKind kind,
+            std::uint32_t generation);  ///< caller holds mutex_
 
   std::shared_ptr<TrainedModelCache> base_;
   EnsembleParams params_;
-  sim::ThreadPool* pool_;
-  std::mutex mutex_;  ///< guards entries_ and prefetches_
-  std::map<Key, std::unique_ptr<Entry>> entries_;
-  std::vector<std::future<void>> prefetches_;
-  std::atomic<std::uint64_t> generations_trained_{0};
-  std::atomic<std::uint64_t> retrain_work_units_{0};
-  std::atomic<std::uint64_t> retrain_wall_ns_{0};
+  mutable std::mutex mutex_;  ///< guards the census and its counters
+  std::set<std::tuple<std::string, ModelKind, std::uint32_t>> census_;
+  std::uint64_t retrain_work_units_ = 0;
+  std::uint64_t retrain_wall_ns_ = 0;
 };
 
 /// One cell of the detection matrix (Fig. 8 and the ablations).

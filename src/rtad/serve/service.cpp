@@ -136,8 +136,8 @@ Service::Service(ServiceConfig cfg,
   }
   if (cfg_.shards == 0) cfg_.shards = 1;
   if (cfg_.ensemble.active()) {
-    generations_ = std::make_unique<core::GenerationCache>(
-        cache_, cfg_.ensemble, &pool_);
+    generations_ =
+        std::make_unique<core::GenerationCache>(cache_, cfg_.ensemble);
   }
 }
 
@@ -242,10 +242,7 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
     }
   }
 
-  // Join outstanding retrain prefetches before any counter is read: the
-  // trained-generation census must not depend on how far the pool got.
   if (generations_) {
-    generations_->drain();
     rep.generations_trained = generations_->generations_trained();
     rep.retrain_work_units = generations_->retrain_work_units();
     rep.retrain_wall_ns = generations_->retrain_wall_ns();

@@ -102,8 +102,8 @@ struct ServiceReport : FleetCounters {
   std::uint64_t migrations = 0;
   std::uint64_t failover_rounds = 0;  ///< extra rounds beyond the first
 
-  // --- rolling ensemble: the generation cache's census, harvested after
-  // its drain(), so byte-identical across worker counts. retrain_wall_ns is
+  // --- rolling ensemble: the generation cache's census of scheduled
+  // generations, byte-identical across worker counts. retrain_wall_ns is
   // the one host-dependent number: it never reaches the JSON document —
   // benches report it in their trailing host section. ---
   std::uint64_t generations_trained = 0;

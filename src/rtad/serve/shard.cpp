@@ -227,17 +227,16 @@ void Shard::dispatch(std::size_t lane, std::vector<SessionOutcome>& out) {
 
   // Rolling ensemble: the retrain cadence rides the fleet clock, anchored
   // at the request's origin arrival — a pure function of the episode, so a
-  // failed-over session resumes the identical member schedule. Prefetch
-  // the initial member set plus the next generation onto the pool; a
-  // session that outruns the prefetch falls back to the cache's blocking
-  // get(), which changes wall clock but never results. Sessions key their
-  // generations on the resolved profile name, and so does the prefetch.
+  // failed-over session resumes the identical member schedule. The census
+  // notes the initial member set plus the next generation; the session
+  // obtains each member's model when it admits it. Sessions key their
+  // generations on the resolved profile name, and so does the census.
   opts.ensemble = cfg_.ensemble;
   opts.ensemble.base_ps = req.origin_arrival_ps;
   const workloads::SpecProfile profile = cache_->profile(req.benchmark);
   const core::TrainedModels& models = cache_->get(req.benchmark);
   if (opts.ensemble.active()) {
-    generations_->prefetch(profile.name, model,
+    generations_->schedule(profile.name, model,
                            opts.ensemble.generation_at(0) + 1);
   }
 

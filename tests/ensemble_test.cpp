@@ -6,8 +6,10 @@
 //      malformed values and a quorum larger than the ensemble throw named
 //      errors, they never silently decay.
 //   2. Generation 0 *is* the anchor: the generation cache delegates to the
-//      base TrainedModelCache without retraining anything, and each later
-//      generation trains exactly once no matter how many sessions ask.
+//      base TrainedModelCache without retraining anything. A later
+//      generation is the base cache's entry for its drift phase — trained
+//      once no matter how many sessions or generations ask, and equal to
+//      the model a fresh builder at its exact snapshot instant trains.
 //   3. Hot swaps land only at advance() boundaries and at the same
 //      simulated instants for every chunk size, scheduler kernel and GPU
 //      backend — the full DetectionResult (score digest, consensus
@@ -28,6 +30,7 @@
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/session_checkpoint.hpp"
+#include "rtad/ml/dataset.hpp"
 #include "rtad/serve/service.hpp"
 #include "rtad/serve/shard.hpp"
 #include "rtad/workloads/catalog.hpp"
@@ -191,14 +194,72 @@ TEST(GenerationCache, AnchorDelegatesAndGenerationsTrainOnce) {
   EXPECT_EQ(&anchor, &base->get(kDriftBench));
   EXPECT_EQ(cache.generations_trained(), 0u);
 
-  // Generation 1 trains once (ELM side only) no matter who asks.
-  const core::TrainedModels& g1 =
-      cache.get(kDriftBench, core::ModelKind::kElm, 1);
+  // Generation 1 snapshots phase 0, so it *is* the anchor; the census still
+  // counts it as a scheduled generation.
+  EXPECT_EQ(&cache.get(kDriftBench, core::ModelKind::kElm, 1), &anchor);
   EXPECT_EQ(cache.generations_trained(), 1u);
+
+  // Generation 2 (phase 1) trains once (ELM side only) no matter who asks.
+  const std::size_t before = base->trainings();
+  const core::TrainedModels& g2 =
+      cache.get(kDriftBench, core::ModelKind::kElm, 2);
+  const std::size_t trained = base->trainings();
+  EXPECT_LE(trained, before + 1);
+  EXPECT_EQ(cache.generations_trained(), 2u);
   EXPECT_GT(cache.retrain_work_units(), 0u);
-  EXPECT_EQ(&cache.get(kDriftBench, core::ModelKind::kElm, 1), &g1);
-  EXPECT_EQ(cache.generations_trained(), 1u);
-  EXPECT_NE(&g1, &anchor);
+  EXPECT_EQ(&cache.get(kDriftBench, core::ModelKind::kElm, 2), &g2);
+  EXPECT_EQ(cache.generations_trained(), 2u);
+  EXPECT_NE(&g2, &anchor);
+  EXPECT_EQ(g2.lstm, nullptr);
+
+  // Generation 6 snapshots phase 1 again: generation 2's model, untrained.
+  EXPECT_EQ(&cache.get(kDriftBench, core::ModelKind::kElm, 6), &g2);
+  EXPECT_EQ(cache.generations_trained(), 3u);
+  EXPECT_EQ(base->trainings(), trained);
+}
+
+TEST(GenerationCache, SamePhaseSameWeights) {
+  // The phase key is sound only if a generation trained on its own — a
+  // fresh builder frozen at its exact snapshot instant — equals the entry
+  // of its drift phase bit for bit.
+  auto base = shared_cache();
+  const core::EnsembleParams params = test_params();
+  core::GenerationCache cache(base, params);
+  const auto profile = base->profile(kDriftBench);
+  const core::TrainedModels& anchor = base->get(kDriftBench);
+  const auto threshold = [](const core::TrainedModels& m,
+                            core::ModelKind kind) {
+    return kind == core::ModelKind::kElm ? m.elm_threshold.value()
+                                         : m.lstm_threshold.value();
+  };
+  for (const auto kind : {core::ModelKind::kLstm, core::ModelKind::kElm}) {
+    for (std::uint32_t gen = 1; gen <= 6; ++gen) {
+      SCOPED_TRACE(std::string(core::to_string(kind)) + " generation " +
+                   std::to_string(gen));
+      const sim::Picoseconds at = params.training_snapshot_ps(gen);
+      core::TrainedModels want;
+      want.features = std::make_unique<ml::DatasetBuilder>(
+          profile, base->options().seed, ml::FeatureConfig{}, at);
+      core::train_model_side(want, kind, base->options());
+
+      const core::TrainedModels& got = cache.get(kDriftBench, kind, gen);
+      EXPECT_EQ(got.image(kind).init_blocks, want.image(kind).init_blocks);
+      EXPECT_EQ(threshold(got, kind), threshold(want, kind));
+      if (profile.drift.phase_at_ps(at) == 0) {
+        EXPECT_EQ(&got, &anchor);
+      }
+    }
+  }
+}
+
+TEST(TrainedModelCache, AliasesOfOneProfileTrainOnce) {
+  // Entries key on the resolved profile name, not the string asked for.
+  core::TrainedModelCache cache(fast_training(), [](const std::string& name) {
+    return fast_profile(name);
+  });
+  const core::TrainedModels& by_alias = cache.get("astar");
+  EXPECT_EQ(&cache.get("473.astar"), &by_alias);
+  EXPECT_EQ(cache.trainings(), 1u);
 }
 
 std::unique_ptr<core::DetectionSession> make_ensemble_session(
