@@ -30,7 +30,7 @@ int main() {
     enc.encode(step.event, bytes);
     if (cpu::is_waypoint(step.event.kind)) ++waypoints;
   }
-  enc.flush_atoms(bytes);
+  enc.flush(bytes);
 
   core::Table table({"TA units", "decode cycles", "branches/kcycle",
                      "port backlog (peak words)", "TA LUTs", "TA gates"});

@@ -9,28 +9,22 @@
 
 namespace rtad::bench {
 
-namespace {
-
-core::TrainingOptions training_options() {
+core::TrainingOptions reduced_training() {
   core::TrainingOptions opts;
-  if (fast_train()) {
-    opts.lstm_train_tokens = 400;
-    opts.lstm_val_tokens = 150;
-    opts.elm_train_windows = 100;
-    opts.elm_val_windows = 40;
-    opts.lstm.epochs = 1;
-  }
+  opts.lstm_train_tokens = 400;
+  opts.lstm_val_tokens = 150;
+  opts.elm_train_windows = 100;
+  opts.elm_val_windows = 40;
+  opts.lstm.epochs = 1;
   return opts;
 }
 
-}  // namespace
-
-bool fast_train() { return core::env::flag_or("RTAD_FAST_TRAIN", false); }
-
 std::shared_ptr<core::TrainedModelCache> model_cache(
     core::TrainedModelCache::ProfileResolver resolver) {
-  return std::make_shared<core::TrainedModelCache>(training_options(),
-                                                   std::move(resolver));
+  const bool fast_train = core::env::flag_or("RTAD_FAST_TRAIN", false);
+  return std::make_shared<core::TrainedModelCache>(
+      fast_train ? reduced_training() : core::TrainingOptions{},
+      std::move(resolver));
 }
 
 void write_json(const char* bench, const char* default_path,

@@ -18,12 +18,12 @@
 
 namespace rtad::bench {
 
-/// Whether RTAD_FAST_TRAIN=1 is set.
-bool fast_train();
+/// The reduced training corpus (CI scale): fewer tokens and windows and
+/// one LSTM epoch, so a run is dominated by simulation, not host-side
+/// training; results stay deterministic, just trained on less data.
+core::TrainingOptions reduced_training();
 
-/// A model cache. Under RTAD_FAST_TRAIN=1 it trains on a reduced corpus,
-/// so CI smokes are dominated by simulation, not host-side training;
-/// results stay deterministic, just trained on fewer tokens.
+/// A model cache. Under RTAD_FAST_TRAIN=1 it trains on reduced_training().
 std::shared_ptr<core::TrainedModelCache> model_cache(
     core::TrainedModelCache::ProfileResolver resolver = {});
 

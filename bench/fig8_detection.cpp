@@ -20,22 +20,17 @@
 // stdout are unchanged unless more than one protocol is listed;
 // per-protocol bytes/branch and decode-cycle stats go to stderr);
 // RTAD_JOBS=N sets worker count (default: hardware concurrency);
-// RTAD_FAST_TRAIN=1 shrinks the training corpus (bench/common.hpp) and
-// pre-warms the model cache so matrix_wall_ms covers simulation only;
-// RTAD_SCHED=dense|event selects the simulation kernel — stdout is
-// byte-identical either way, scheduler statistics go to stderr;
-// RTAD_BACKEND=cycle|fast selects the kernel execution backend (stdout and
-// metrics exports are byte-identical either way; the backend line and
-// gpu_exec_wall_ms go to stderr); RTAD_FIG8_BACKEND_PROBE=N times N
-// offline inferences of the first cell's kernels on both backends and
-// reports the kernel-simulation speedup to stderr;
+// RTAD_FAST_TRAIN=1 shrinks the training corpus (bench/common.hpp);
+// RTAD_SCHED=dense|event selects the simulation kernel and
+// RTAD_BACKEND=cycle|fast the kernel execution backend — stdout and
+// metrics exports are byte-identical either way (bench/sim_speed times
+// and gates both fast paths);
 // RTAD_TRACE=<path> writes a Chrome-trace/Perfetto JSON per cell
 // (multi-cell runs insert ".cellNNN" before a trailing ".json");
 // RTAD_METRICS=<path> writes stable-key JSON run metrics the same way.
 // Both exports are byte-identical across schedulers and worker counts,
 // and leave stdout untouched (cycle accounts go to stderr).
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -43,7 +38,6 @@
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
-#include "rtad/ml/kernel_compiler.hpp"
 #include "rtad/trace/protocol.hpp"
 
 using namespace rtad;
@@ -117,7 +111,6 @@ int run() {
   const auto protos = selected_protocols(dopt.proto);
   const auto models = selected_models();
   const auto engines = selected_engines();
-  const std::uint64_t probes = core::env::u64_or("RTAD_FIG8_BACKEND_PROBE", 0);
   std::cout << "FIG. 8: LATENCIES OF ANOMALY DETECTION (us)\n\n";
   const std::size_t stride = protos.size() * models.size() * engines.size();
   std::vector<core::DetectionCell> cells;
@@ -134,87 +127,10 @@ int run() {
     }
   }
 
-  const auto cache = bench::model_cache();
-
-  // With a fast-train cache, pre-warm every benchmark's models before the
-  // matrix so the timed region below is pure simulation. Training is
-  // identical host-side work under either scheduler kernel; keeping it out
-  // of matrix_wall_ms lets the perf smoke compare the kernels themselves.
-  if (bench::fast_train()) {
-    for (const auto& name : benchmarks) cache->get(name);
-  }
-
-  // Optional kernel-simulation probe (RTAD_FIG8_BACKEND_PROBE=N): run N
-  // offline inferences of the first cell's trained kernels on each backend
-  // and report the wall-clock ratio. This isolates the cost the execution
-  // backend is responsible for — inside the matrix, wall-clock during a
-  // launch also covers the concurrently simulated CPU/fabric domains,
-  // which no GPU backend can remove. Diagnostics only (stderr).
-  if (probes > 0) {
-    const core::TrainedModels& trained = cache->get(benchmarks.front());
-    const core::ModelKind probe_model = models.front();
-    const ml::ModelImage& image = trained.image(probe_model);
-    double wall_us[2] = {0.0, 0.0};
-    std::uint64_t probe_fast_launches = 0;
-    for (int bi = 0; bi < 2; ++bi) {
-      gpgpu::GpuConfig cfg;
-      cfg.backend =
-          bi == 0 ? gpgpu::GpuBackend::kCycle : gpgpu::GpuBackend::kFast;
-      gpgpu::Gpu gpu(cfg);
-      ml::load_image(gpu, image);
-      std::vector<std::uint32_t> payload(image.input_words, 1);
-      ml::run_inference_offline(gpu, image, payload);  // warm decode cache
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::uint64_t i = 0; i < probes; ++i) {
-        payload[0] = static_cast<std::uint32_t>(i % 13);
-        ml::run_inference_offline(gpu, image, payload);
-      }
-      wall_us[bi] = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      if (bi == 1) probe_fast_launches = gpu.fast_launches();
-    }
-    std::cerr << "fig8: backend_probe model="
-              << core::to_string(probe_model) << " inferences=" << probes
-              << " cycle_wall_us=" << static_cast<long long>(wall_us[0])
-              << " fast_wall_us=" << static_cast<long long>(wall_us[1])
-              << " kernel_speedup="
-              << core::fmt(wall_us[1] > 0 ? wall_us[0] / wall_us[1] : 0.0, 2)
-              << " fast_launches=" << probe_fast_launches << "\n";
-  }
-
-  core::ExperimentRunner runner(0, cache);
+  core::ExperimentRunner runner(0, bench::model_cache());
   std::cerr << "fig8: " << cells.size() << " cells on "
             << runner.pool().worker_count() << " workers...\n";
-  const auto matrix_start = std::chrono::steady_clock::now();
   const auto results = runner.run_detection_matrix(cells);
-  const auto matrix_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - matrix_start)
-                             .count();
-  // Diagnostics only (stdout stays byte-identical across kernels).
-  std::cerr << "fig8: matrix_wall_ms=" << matrix_ms << "\n";
-
-  std::uint64_t skipped_groups = 0;
-  std::uint64_t skipped_cycles = 0;
-  std::uint64_t gpu_wall_ns = 0;
-  std::uint64_t fast_launches = 0;
-  for (const auto& r : results) {
-    skipped_groups += r.detection.skipped_edge_groups;
-    skipped_cycles += r.detection.skipped_cycles;
-    gpu_wall_ns += r.detection.gpu_exec_wall_ns;
-    fast_launches += r.detection.gpu_fast_launches;
-  }
-  // Diagnostics only: the kernel-simulation wall is the share of the matrix
-  // the execution backend is responsible for, which is what the perf smoke
-  // compares across RTAD_BACKEND (stdout stays byte-identical).
-  std::cerr << "fig8: backend=" << gpgpu::to_string(dopt.backend)
-            << " gpu_exec_wall_ms=" << gpu_wall_ns / 1'000'000
-            << " fast_launches=" << fast_launches << "\n";
-  // Diagnostics only — scheduler mode must never leak into stdout, which
-  // is compared byte-for-byte across kernels by the perf smoke.
-  std::cerr << "fig8: scheduler=" << sim::to_string(dopt.sched)
-            << " skipped_edge_groups=" << skipped_groups
-            << " skipped_cycles=" << skipped_cycles << "\n";
 
   // Per-protocol trace-frontend costs: encoder bandwidth (bytes per decoded
   // branch) and IGM decode occupancy. Diagnostics only (stderr) — the

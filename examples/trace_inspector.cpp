@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       if (len >= 1 && len <= 5) ++addr_packet_lengths[len];
     }
   }
-  enc.flush_atoms(bytes);
+  enc.flush(bytes);
 
   // Decode + verify while counting packets.
   trace::PftStreamDecoder dec;

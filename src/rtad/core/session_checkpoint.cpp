@@ -135,18 +135,14 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
   for (std::size_t i = 0; i < 8; ++i) {
     magic[i] = static_cast<char>(r.u8());
   }
-  int version = 0;
-  if (std::memcmp(magic, kMagic, 8) == 0) {
-    version = 2;
-  } else if (std::memcmp(magic, kMagicV1, 8) == 0) {
-    version = 1;
-  } else if (std::memcmp(magic, kMagic, 7) == 0) {
-    // A well-formed RTADCKP tag from a future (or corrupted) layout: name
-    // the version so operators see a format skew, not generic corruption.
-    throw CheckpointError(
-        std::string("SessionCheckpoint: unknown checkpoint version '") +
-        magic + "'");
-  } else {
+  if (std::memcmp(magic, kMagic, 8) != 0) {
+    if (std::memcmp(magic, kMagic, 7) == 0) {
+      // A well-formed RTADCKP tag from another (or corrupted) layout: name
+      // the version so operators see a format skew, not generic corruption.
+      throw CheckpointError(
+          std::string("SessionCheckpoint: unknown checkpoint version '") +
+          magic + "'");
+    }
     throw CheckpointError("SessionCheckpoint: bad magic/version");
   }
 
@@ -176,21 +172,18 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
     ckpt.options.faults.reset();
   }
 
-  if (version >= 2) {
-    ckpt.options.ensemble.size = r.u32();
-    ckpt.options.ensemble.quorum = r.u32();
-    ckpt.options.ensemble.retrain_ps = r.u64();
-    ckpt.options.ensemble.window_ps = r.u64();
-    ckpt.options.ensemble.base_ps = r.u64();
-    const EnsembleParams& e = ckpt.options.ensemble;
-    if (e.quorum > e.size) {
-      throw CheckpointError("SessionCheckpoint: ensemble.quorum (" +
-                            std::to_string(e.quorum) +
-                            ") exceeds ensemble.size (" +
-                            std::to_string(e.size) + ")");
-    }
+  ckpt.options.ensemble.size = r.u32();
+  ckpt.options.ensemble.quorum = r.u32();
+  ckpt.options.ensemble.retrain_ps = r.u64();
+  ckpt.options.ensemble.window_ps = r.u64();
+  ckpt.options.ensemble.base_ps = r.u64();
+  const EnsembleParams& e = ckpt.options.ensemble;
+  if (e.quorum > e.size) {
+    throw CheckpointError("SessionCheckpoint: ensemble.quorum (" +
+                          std::to_string(e.quorum) +
+                          ") exceeds ensemble.size (" +
+                          std::to_string(e.size) + ")");
   }
-  // v1 blobs keep the inert defaults: a single-model generation-0 ensemble.
 
   ckpt.progress_ps = r.u64();
   ckpt.score_digest = r.u64();
@@ -201,13 +194,11 @@ SessionCheckpoint SessionCheckpoint::parse(const std::uint8_t* data,
   ckpt.false_positives = r.u64();
   ckpt.phase = r.u8();
   ckpt.done = r.u8() != 0;
-  if (version >= 2) {
-    ckpt.ensemble_generation = r.u32();
-    ckpt.ensemble_swaps = r.u64();
-    ckpt.consensus_flags = r.u64();
-    ckpt.consensus_overrides = r.u64();
-    ckpt.member_evals = r.u64();
-  }
+  ckpt.ensemble_generation = r.u32();
+  ckpt.ensemble_swaps = r.u64();
+  ckpt.consensus_flags = r.u64();
+  ckpt.consensus_overrides = r.u64();
+  ckpt.member_evals = r.u64();
   if (r.remaining() != 0) {
     throw CheckpointError("SessionCheckpoint: trailing bytes");
   }

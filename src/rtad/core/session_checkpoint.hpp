@@ -16,8 +16,7 @@
 //
 // The blob is byte-stable: fixed field order, little-endian integers, IEEE
 // bit patterns for doubles, length-prefixed strings, a leading format magic
-// ("RTADCKP2"; v1 blobs still parse — see kMagic) and a trailing FNV-1a
-// digest. Progress cursors (score
+// ("RTADCKP2") and a trailing FNV-1a digest. Progress cursors (score
 // digest, flag/inference/IRQ counts, phase) ride along purely as an
 // integrity proof: restore() replays first, then cross-checks every cursor
 // and throws CheckpointError on any mismatch, so a corrupted or mismatched
@@ -56,13 +55,10 @@ class CheckpointError : public std::runtime_error {
 /// resurrect with DetectionSession::restore().
 struct SessionCheckpoint {
   /// Format tag serialized at the front of every blob; bump on any layout
-  /// change. serialize() always writes the current version (v2: ensemble
-  /// params + cursors); parse() additionally accepts v1 blobs — a v1 blob
-  /// restores with inert ensemble options, i.e. as a single-model
-  /// generation-0 ensemble — and raises a named unknown-version error on
-  /// any other RTADCKP tag rather than misreading it.
+  /// change. serialize() writes the current version (v2: ensemble params +
+  /// cursors); parse() accepts only it and raises a named unknown-version
+  /// error on any other RTADCKP tag rather than misreading it.
   static constexpr char kMagic[9] = "RTADCKP2";
-  static constexpr char kMagicV1[9] = "RTADCKP1";
 
   std::string benchmark;  ///< cache key for profile + trained models
   ModelKind model = ModelKind::kLstm;
@@ -82,8 +78,8 @@ struct SessionCheckpoint {
   std::uint8_t phase = 0;  ///< DetectionSession::Phase at the boundary
   bool done = false;
 
-  // --- ensemble cursors (v2; all zero for inert-ensemble sessions and for
-  // parsed v1 blobs) --- the member set itself is not serialized: it is a
+  // --- ensemble cursors (all zero for inert-ensemble sessions) --- the
+  // member set itself is not serialized: it is a
   // pure function of (options.ensemble, progress_ps), and restore()'s
   // replay re-runs every member evaluation, then cross-checks these.
   std::uint32_t ensemble_generation = 0;  ///< newest live generation

@@ -455,70 +455,25 @@ TEST(SessionCheckpoint, BoundaryCasesRoundTrip) {
   }
 }
 
-/// Rewrite a v2 blob as its v1 ancestor: drop the ensemble shape (32 bytes
-/// after the fault section — equivalently, 32 bytes before the 58-byte
-/// progress block) and the ensemble cursors (the 36 bytes just before the
-/// digest), stamp the RTADCKP1 magic, re-digest. This is exactly the
-/// layout PR 8's serializer produced, so the test exercises the real
-/// compatibility path without keeping an old binary around.
-std::vector<std::uint8_t> downgrade_to_v1(std::vector<std::uint8_t> blob) {
-  constexpr std::size_t kProgress = 7 * 8 + 2;  // 7 u64 + phase + done
-  constexpr std::size_t kCursors = 4 + 4 * 8;
-  constexpr std::size_t kParams = 2 * 4 + 3 * 8;
-  blob.resize(blob.size() - 8);  // shed the digest
-  blob.erase(blob.end() - static_cast<std::ptrdiff_t>(kCursors), blob.end());
-  blob.erase(blob.end() - static_cast<std::ptrdiff_t>(kProgress + kParams),
-             blob.end() - static_cast<std::ptrdiff_t>(kProgress));
-  blob[7] = '1';
-  blob.insert(blob.end(), 8, std::uint8_t{0});
-  repair_digest(blob);
-  return blob;
-}
-
-TEST(SessionCheckpoint, V1BlobsParseWithAnInertEnsemble) {
-  auto cache = shared_cache();
-  auto session = make_session(session_options());
-  advance_to_mid(*session);
-  const SessionCheckpoint want = session->checkpoint();
-  ASSERT_FALSE(want.options.ensemble.active());
-
-  const auto v1 = downgrade_to_v1(want.serialize());
-  const SessionCheckpoint back = SessionCheckpoint::parse(v1);
-
-  // The pre-ensemble fields all survive; the ensemble fields come back as
-  // the inert defaults a v1 writer never knew about.
-  EXPECT_EQ(back.benchmark, want.benchmark);
-  EXPECT_EQ(back.progress_ps, want.progress_ps);
-  EXPECT_EQ(back.score_digest, want.score_digest);
-  EXPECT_EQ(back.inferences, want.inferences);
-  EXPECT_EQ(back.options.seed, want.options.seed);
-  EXPECT_FALSE(back.options.ensemble.active());
-  EXPECT_EQ(back.ensemble_generation, 0u);
-  EXPECT_EQ(back.ensemble_swaps, 0u);
-  EXPECT_EQ(back.member_evals, 0u);
-
-  // And it restores: a v1 park resumes byte-identical under the v2 build.
-  auto restored = DetectionSession::restore(back, cache->profile("astar"),
-                                            cache->get("astar"));
-  session->run_to_completion();
-  restored->run_to_completion();
-  expect_identical(restored->result(), session->result());
-}
-
 TEST(SessionCheckpoint, UnknownVersionsAreNamedNotGarbage) {
   auto session = make_session(session_options());
-  auto blob = session->checkpoint().serialize();
-  blob[7] = '9';  // a well-formed RTADCKP tag from the future
-  repair_digest(blob);
-  try {
-    SessionCheckpoint::parse(blob);
-    FAIL() << "unknown version must throw";
-  } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown checkpoint version"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("RTADCKP9"), std::string::npos)
-        << e.what();
+  const auto current = session->checkpoint().serialize();
+  // A well-formed RTADCKP tag from the future, and the retired v1 tag.
+  for (const char version : {'9', '1'}) {
+    auto blob = current;
+    blob[7] = static_cast<std::uint8_t>(version);
+    repair_digest(blob);
+    const std::string tag = std::string("RTADCKP") + version;
+    try {
+      SessionCheckpoint::parse(blob);
+      FAIL() << tag << ": unknown version must throw";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown checkpoint version"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(tag), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -33,7 +33,7 @@ std::vector<std::uint8_t> encode_with_sync(PftEncoder& enc,
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
   for (const auto& ev : evs) enc.encode(ev, bytes);
-  enc.flush_atoms(bytes);
+  enc.flush(bytes);
   return bytes;
 }
 

@@ -50,7 +50,7 @@ TEST_P(PftRoundTrip, EncodeDecodePreservesWaypoints) {
     ev.taken = ev.kind == cpu::BranchKind::kConditional ? ev.taken : true;
     enc.encode(ev, bytes);
   }
-  enc.flush_atoms(bytes);
+  enc.flush(bytes);
   std::vector<std::uint64_t> decoded;
   for (const auto b : bytes) {
     if (auto d = dec.feed(trace::TraceByte{b, 0, 0, false})) {
