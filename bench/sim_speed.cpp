@@ -10,24 +10,32 @@
 // scheduler can skip, which only dilutes a kernel-vs-kernel comparison.
 //
 // Runs, after one training:
-//   * kProbeInferences offline inferences of the cell's LSTM image on each
-//     backend, kRepeats interleaved repeats. The probe isolates the cost
-//     the execution backend is responsible for: inside the cell, wall time
-//     during a launch also covers the CPU and fabric domains;
+//   * offline inferences of the cell's LSTM image on each backend, kRepeats
+//     interleaved repeats: kProbeInferences on the cycle backend and
+//     kFastProbeInferences (10x) on the fast one, so both sides of a
+//     repeat run for a comparable wall time (~150 ms). The probe isolates
+//     the cost the execution backend is responsible for: inside the cell,
+//     wall time during a launch also covers the CPU and fabric domains;
 //   * the cell under dense x cycle, event x cycle and event x fast, also
 //     kRepeats interleaved repeats, each with the rtad.metrics.v1 export
 //     on. Speedups compare medians, so one noisy run cannot fail a gate;
-//   * the cell under event x fast with the E-Trace frontend, once.
+//   * the cell under event x fast with the E-Trace frontend, once;
+//   * the verdict cell (the same benchmark and models, ELM on ML-MIAOW,
+//     which detects attacks) under event x fast with each trace protocol,
+//     once.
 //
 // Gates (exit 1, each failure named on stderr):
 //   * every PFT run matches the first dense run on verdicts, score digest,
 //     simulated time, inferences, FIFO drops and latency, and writes a
 //     byte-identical metrics export;
-//   * E-Trace attacks, detections and false positives equal PFT's;
+//   * E-Trace attacks, detections and false positives equal PFT's, on the
+//     timed cell and on the verdict cell, and the verdict cell detects
+//     attacks under PFT (the timed cell detects none with the reduced
+//     corpus, so its equality alone compares zeros);
 //   * the event kernel skipped edge groups, and the fast backend planned
 //     launches both in the cell and in the probe;
 //   * scheduler speedup (dense / event, cycle backend) >= 2x and kernel
-//     speedup (probe cycle / probe fast) >= 10x.
+//     speedup (per-inference probe median, cycle / fast) >= 10x.
 //
 // BENCH_sim_speed.json (RTAD_BENCH_JSON) holds the deterministic fields;
 // its trailing "host" object holds the walls, the ratios and the verdict.
@@ -57,6 +65,7 @@ constexpr const char* kBenchmark = "hmmer";
 constexpr std::size_t kAttacks = 8;
 constexpr std::size_t kRepeats = 3;
 constexpr std::uint64_t kProbeInferences = 300;
+constexpr std::uint64_t kFastProbeInferences = 10 * kProbeInferences;
 constexpr double kMinSchedulerSpeedup = 2.0;
 constexpr double kMinKernelSpeedup = 10.0;
 
@@ -132,9 +141,10 @@ struct Probe {
   std::uint64_t fast_launches = 0;
 };
 
-/// kProbeInferences offline inferences of `image` on a fresh 1-CU GPU,
-/// after one untimed warm-up that fills the fast backend's decode cache.
-Probe probe(const ml::ModelImage& image, gpgpu::GpuBackend backend) {
+/// `inferences` offline inferences of `image` on a fresh 1-CU GPU, after
+/// one untimed warm-up that fills the fast backend's decode cache.
+Probe probe(const ml::ModelImage& image, gpgpu::GpuBackend backend,
+            std::uint64_t inferences) {
   gpgpu::GpuConfig cfg;
   cfg.backend = backend;
   gpgpu::Gpu gpu(cfg);
@@ -142,7 +152,7 @@ Probe probe(const ml::ModelImage& image, gpgpu::GpuBackend backend) {
   std::vector<std::uint32_t> payload(image.input_words, 1);
   ml::run_inference_offline(gpu, image, payload);
   const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kProbeInferences; ++i) {
+  for (std::uint64_t i = 0; i < inferences; ++i) {
     payload[0] = static_cast<std::uint32_t>(i % 13);
     ml::run_inference_offline(gpu, image, payload);
   }
@@ -157,6 +167,14 @@ void write_trace(obs::JsonWriter& json, const core::DetectionResult& r) {
              rounded(static_cast<double>(r.trace_bytes_generated) /
                          static_cast<double>(r.decode_branches),
                      3));
+  json.end_object();
+}
+
+void write_verdicts(obs::JsonWriter& json, const core::DetectionResult& r) {
+  json.begin_object();
+  json.field("attacks", static_cast<std::uint64_t>(r.attacks));
+  json.field("detections", static_cast<std::uint64_t>(r.detections));
+  json.field("false_positives", r.false_positives);
   json.end_object();
 }
 
@@ -178,8 +196,10 @@ int run() {
   std::vector<double> probe_fast_ms;
   std::uint64_t probe_fast_launches = 0;
   for (std::size_t rep = 0; rep < kRepeats; ++rep) {
-    probe_cycle_ms.push_back(probe(image, gpgpu::GpuBackend::kCycle).wall_ms);
-    const Probe fast = probe(image, gpgpu::GpuBackend::kFast);
+    probe_cycle_ms.push_back(
+        probe(image, gpgpu::GpuBackend::kCycle, kProbeInferences).wall_ms);
+    const Probe fast =
+        probe(image, gpgpu::GpuBackend::kFast, kFastProbeInferences);
     probe_fast_ms.push_back(fast.wall_ms);
     probe_fast_launches = fast.fast_launches;
   }
@@ -204,12 +224,29 @@ int run() {
       profile, models, core::ModelKind::kLstm, core::EngineKind::kMiaow,
       options);
 
+  const auto verdict_run = [&](trace::TraceProtocol proto) {
+    options.proto = proto;
+    return core::measure_detection(profile, models, core::ModelKind::kElm,
+                                   core::EngineKind::kMlMiaow, options);
+  };
+  const core::DetectionResult verdict_pft =
+      verdict_run(trace::TraceProtocol::kPft);
+  const core::DetectionResult verdict_etrace =
+      verdict_run(trace::TraceProtocol::kEtrace);
+
   const Run& ref = runs[0].front();
   const core::DetectionResult& event = runs[1].front().result;
   const core::DetectionResult& fast = runs[2].front().result;
   const double sched_speedup = median(walls[0]) / median(walls[1]);
   const double fast_speedup = median(walls[0]) / median(walls[2]);
-  const double kernel_speedup = median(probe_cycle_ms) / median(probe_fast_ms);
+  const auto per_inference = [](std::vector<double> walls,
+                                std::uint64_t inferences) {
+    for (double& ms : walls) ms /= static_cast<double>(inferences);
+    return median(walls);
+  };
+  const double kernel_speedup =
+      per_inference(probe_cycle_ms, kProbeInferences) /
+      per_inference(probe_fast_ms, kFastProbeInferences);
 
   bench::Gates gates("sim_speed");
   for (std::size_t m = 0; m < kModes.size(); ++m) {
@@ -226,7 +263,14 @@ int run() {
   gates.check(etrace.attacks == ref.result.attacks &&
                   etrace.detections == ref.result.detections &&
                   etrace.false_positives == ref.result.false_positives,
-              "E-Trace verdicts differ from PFT's");
+              "E-Trace verdicts differ from PFT's on the timed cell");
+  gates.check(verdict_pft.detections > 0,
+              "verdict cell detected no attack under PFT");
+  gates.check(verdict_etrace.attacks == verdict_pft.attacks &&
+                  verdict_etrace.detections == verdict_pft.detections &&
+                  verdict_etrace.false_positives ==
+                      verdict_pft.false_positives,
+              "E-Trace verdicts differ from PFT's on the verdict cell");
   gates.check(event.skipped_edge_groups > 0,
               "event kernel skipped no edge groups");
   gates.check(fast.gpu_fast_launches > 0,
@@ -254,6 +298,7 @@ int run() {
     json.field("training", "reduced");
     json.field("repeats", static_cast<std::uint64_t>(kRepeats));
     json.field("probe_inferences", kProbeInferences);
+    json.field("probe_fast_inferences", kFastProbeInferences);
     json.field("min_scheduler_speedup", kMinSchedulerSpeedup);
     json.field("min_kernel_speedup", kMinKernelSpeedup);
     json.key("detection").begin_object();
@@ -276,6 +321,14 @@ int run() {
     write_trace(json, fast);
     json.key("etrace");
     write_trace(json, etrace);
+    json.end_object();
+    json.key("verdict_cell").begin_object();
+    json.field("model", core::to_string(core::ModelKind::kElm));
+    json.field("engine", core::to_string(core::EngineKind::kMlMiaow));
+    json.key("pft");
+    write_verdicts(json, verdict_pft);
+    json.key("etrace");
+    write_verdicts(json, verdict_etrace);
     json.end_object();
   };
   const auto host = [&](obs::JsonWriter& json) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "rtad/gpgpu/rtl_inventory.hpp"
 
@@ -226,6 +227,14 @@ sim::Picoseconds RtadSoc::run_while(const std::function<bool()>& keep_going,
 }
 
 void RtadSoc::arm_attack(std::uint64_t trigger_instruction) {
+  if (trigger_instruction <= injector_->instructions_seen()) {
+    std::string what = "RtadSoc::arm_attack: trigger ";
+    what += std::to_string(trigger_instruction);
+    what += " is not past the injector's instructions_seen() ";
+    what += std::to_string(injector_->instructions_seen());
+    what += " (the step in flight is already fetched)";
+    throw AttackTriggerError(what);
+  }
   injector_->arm(trigger_instruction);
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 
 #include "rtad/attack/injector.hpp"
 #include "rtad/core/config.hpp"
@@ -27,6 +28,12 @@
 #include "rtad/workloads/trace_generator.hpp"
 
 namespace rtad::core {
+
+/// An attack trigger the host has already fetched past (see arm_attack).
+class AttackTriggerError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class RtadSoc {
  public:
@@ -68,6 +75,16 @@ class RtadSoc {
   bool step(sim::Picoseconds deadline_ps) { return sim_.step_group(deadline_ps); }
 
   /// Arm the injector for an attack at an absolute instruction count.
+  ///
+  /// The host fetches each step on the previous branch's retirement edge
+  /// (cpu::StepSource), so the injector has already handed out the step in
+  /// flight and its instructions_seen() runs ahead of program_instructions()
+  /// by up to one step: at most floor(ln 2^-53 / ln(1 - branch_fraction))
+  /// gap instructions plus the branch, 441 for the catalog's sparsest
+  /// profiles (branch fraction 0.08). A trigger above instructions_seen()
+  /// launches the burst on the same step whichever edge the fetch happened
+  /// on; a trigger at or below it would depend on that edge, and throws
+  /// AttackTriggerError.
   void arm_attack(std::uint64_t trigger_instruction);
 
  private:

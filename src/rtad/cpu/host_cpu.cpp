@@ -68,7 +68,9 @@ sim::WakeHint HostCpu::next_wake() const {
     return sim::WakeHint::idle_for(skippable);
   }
 
-  // Next tick fetches a fresh step (RNG) or retires a branch: real work.
+  // Next tick fetches the first step (RNG) or retires a branch: real work.
+  // The step after a retirement is already fetched (see tick()), so the
+  // edge after a retirement is skippable whenever its gap is non-zero.
   return sim::WakeHint::active();
 }
 
@@ -120,7 +122,10 @@ void HostCpu::tick() {
   overhead_stall_ += whole;
   overhead_accumulator_ -= static_cast<double>(whole);
 
-  step_valid_ = false;
+  // Fetch at retirement: the next step's gap is known on this edge, so
+  // next_wake() can put the whole gap to sleep instead of reporting one
+  // more active edge whose only job would be the fetch.
+  fetch_next_step();
 }
 
 }  // namespace rtad::cpu

@@ -26,6 +26,13 @@ namespace rtad::cpu {
 
 /// Source of execution steps. TraceGenerator provides the normal program;
 /// the attack injector wraps a source to splice in malicious events.
+///
+/// Pull contract: HostCpu calls next() for the first step on its first
+/// edge, and for step k+1 on the edge where the branch of step k retires.
+/// The source is therefore always exactly one step ahead of retirement: a
+/// source whose output depends on state changed between edges (the
+/// injector's trigger) sees that change from the step *after* the one
+/// already fetched.
 class StepSource {
  public:
   virtual ~StepSource() = default;
@@ -49,6 +56,10 @@ struct HostCpuConfig {
   std::uint8_t context_id = 1;
 };
 
+/// Executes one step per branch: `instr_gap` gap instructions, then the
+/// branch. The next step is fetched on the retirement edge (see
+/// StepSource), so only retirement edges are active and every gap edge
+/// in between is skippable by the event kernel.
 class HostCpu final : public sim::Component {
  public:
   /// `trace` may be null for Baseline / pure-software runs.

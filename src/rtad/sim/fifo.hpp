@@ -6,15 +6,22 @@
 // `try_push` models exactly that drop-new policy and counts the losses; a
 // drop-oldest variant (evict the head, accept the newcomer) is selectable
 // for robustness experiments that compare loss policies under pressure.
+//
+// Storage is a ring buffer that grows on demand (doubling) up to the
+// capacity and never shrinks, so a steady stream through a bounded FIFO
+// allocates nothing after warm-up, and a deep but mostly empty queue (the
+// serve admission queue) does not reserve its capacity up front.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace rtad::sim {
 
@@ -34,9 +41,9 @@ class Fifo {
 
   std::size_t capacity() const noexcept { return capacity_; }
   DropPolicy policy() const noexcept { return policy_; }
-  std::size_t size() const noexcept { return items_.size(); }
-  bool empty() const noexcept { return items_.empty(); }
-  bool full() const noexcept { return items_.size() >= capacity_; }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  bool full() const noexcept { return size_ >= capacity_; }
 
   /// Push under the drop policy (hardware FIFOs do not exert backpressure
   /// on the trace path). On a full FIFO the overflow is counted and either
@@ -75,17 +82,18 @@ class Fifo {
   }
 
   std::optional<T> pop() {
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    if (occupancy_hook_) occupancy_hook_(items_.size());
+    if (size_ == 0) return std::nullopt;
+    T item = std::move(slots_[head_]);
+    drop_head();
+    if (occupancy_hook_) occupancy_hook_(size_);
     return item;
   }
 
-  const T& front() const { return items_.front(); }
+  const T& front() const { return slots_[head_]; }
 
   void clear() {
-    items_.clear();
+    while (size_ > 0) drop_head();
+    head_ = 0;
     if (occupancy_hook_) occupancy_hook_(0);
   }
 
@@ -105,28 +113,57 @@ class Fifo {
   void reset_stats() noexcept {
     pushes_ = 0;
     overflows_ = 0;
-    high_watermark_ = items_.size();
+    high_watermark_ = size_;
   }
 
  private:
+  static constexpr std::size_t kMinSlots = 8;
+
   template <typename U>
   bool push_impl(U&& item) {
     ++pushes_;
     if (full()) {
       ++overflows_;
       if (policy_ == DropPolicy::kDropNew) return false;
-      items_.pop_front();  // kDropOldest: sacrifice the head
+      drop_head();  // kDropOldest: sacrifice the head
     }
-    items_.push_back(std::forward<U>(item));
-    high_watermark_ = std::max(high_watermark_, items_.size());
-    if (occupancy_hook_) occupancy_hook_(items_.size());
+    if (size_ == slots_.size()) grow();
+    std::size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::forward<U>(item);
+    ++size_;
+    high_watermark_ = std::max(high_watermark_, size_);
+    if (occupancy_hook_) occupancy_hook_(size_);
     if (wake_hook_) wake_hook_();
     return true;
   }
 
+  /// Remove the head. A slot that owns resources (an InputVector's
+  /// payload) is reset so a popped item's memory is released at once.
+  void drop_head() {
+    if constexpr (!std::is_trivially_destructible_v<T>) slots_[head_] = T{};
+    if (++head_ == slots_.size()) head_ = 0;
+    --size_;
+  }
+
+  /// Double the ring (at least kMinSlots, at most capacity_), unrolling
+  /// the live items to the front of the new storage.
+  void grow() {
+    std::vector<T> bigger(
+        std::min(capacity_, std::max(kMinSlots, 2 * slots_.size())));
+    for (std::size_t i = 0, at = head_; i < size_; ++i) {
+      bigger[i] = std::move(slots_[at]);
+      if (++at == slots_.size()) at = 0;
+    }
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
   std::size_t capacity_;
   DropPolicy policy_;
-  std::deque<T> items_;
+  std::vector<T> slots_;  ///< ring storage; live items [head_, head_+size_)
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t pushes_ = 0;
   std::uint64_t overflows_ = 0;
   std::size_t high_watermark_ = 0;

@@ -6,7 +6,10 @@
 // sampling is implemented here so traces are bit-identical everywhere.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -106,31 +109,37 @@ class GeometricSampler {
 /// as Zipf-like, which is what the workload models use.
 class ZipfSampler {
  public:
-  ZipfSampler(std::size_t n, double s) : cdf_(n) {
+  ZipfSampler(std::size_t n, double s) : cdf_(n), buckets_(bucket_count(n)) {
+    assert(n <= UINT32_MAX);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
       cdf_[i] = sum;
     }
     for (auto& c : cdf_) c /= sum;
-    // Bucket index: lookup_[k] = first i with cdf_[i] >= k/kBuckets. With
-    // kBuckets a power of two, u*kBuckets and k/kBuckets are exact, so the
+    // Bucket index: lookup_[k] = first i with cdf_[i] >= k/buckets_. With
+    // buckets_ a power of two, u*buckets_ and k/buckets_ are exact, so the
     // bucket brackets the answer and sample() returns the same index as a
     // full binary search — it just starts with far tighter bounds.
-    lookup_.resize(kBuckets + 1);
+    lookup_.resize(buckets_ + 1);
     std::size_t j = 0;
-    for (std::size_t k = 0; k <= kBuckets; ++k) {
+    for (std::size_t k = 0; k <= buckets_; ++k) {
       const double threshold =
-          static_cast<double>(k) / static_cast<double>(kBuckets);
+          static_cast<double>(k) / static_cast<double>(buckets_);
       while (j + 1 < cdf_.size() && cdf_[j] < threshold) ++j;
-      lookup_[k] = j;
+      lookup_[k] = static_cast<std::uint32_t>(j);
     }
   }
 
   std::size_t sample(Xoshiro256& rng) const noexcept {
-    const double u = rng.uniform();
+    return index_of(rng.uniform());
+  }
+
+  /// The index sample() returns for the uniform draw `u` in [0, 1): the
+  /// first cdf entry >= u.
+  std::size_t index_of(double u) const noexcept {
     const auto b = static_cast<std::size_t>(
-        u * static_cast<double>(kBuckets));  // u < 1 => b < kBuckets
+        u * static_cast<double>(buckets_));  // u < 1 => b < buckets_
     // Binary search for the first cdf entry >= u, within the bucket bounds.
     std::size_t lo = lookup_[b], hi = lookup_[b + 1];
     while (lo < hi) {
@@ -145,11 +154,22 @@ class ZipfSampler {
   }
 
   std::size_t size() const noexcept { return cdf_.size(); }
+  std::size_t buckets() const noexcept { return buckets_; }
 
  private:
-  static constexpr std::size_t kBuckets = 256;
+  static constexpr std::size_t kMaxBuckets = 4096;
+
+  /// About four buckets per entry, so most hold at most one cdf step; a
+  /// power of two (exactness above); capped so a large sampler's table
+  /// stays at 16 KiB.
+  static std::size_t bucket_count(std::size_t n) noexcept {
+    return std::min(kMaxBuckets,
+                    std::bit_ceil(std::max<std::size_t>(4 * n, 1)));
+  }
+
   std::vector<double> cdf_;
-  std::vector<std::size_t> lookup_;
+  std::size_t buckets_;
+  std::vector<std::uint32_t> lookup_;
 };
 
 }  // namespace rtad::sim

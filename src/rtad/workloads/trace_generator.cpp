@@ -1,6 +1,7 @@
 #include "rtad/workloads/trace_generator.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rtad::workloads {
 
@@ -53,19 +54,33 @@ TraceGenerator::TraceGenerator(const SpecProfile& profile, std::uint64_t seed,
   branches_until_phase_switch_ = 1 + phase_geo_.sample(rng_);
   instrs_until_syscall_ =
       static_cast<std::int64_t>(1 + syscall_geo_.sample(rng_));
+  refresh_drift_phase();
 }
 
-std::uint32_t TraceGenerator::drift_phase() const noexcept {
-  if (!profile_.drift.active()) return 0;
-  const std::uint64_t at =
-      drift_.frozen ? drift_.base_ps
-                    : drift_.base_ps + instructions_ * kNominalPsPerInstr;
-  return profile_.drift.phase_at_ps(at);
+void TraceGenerator::refresh_drift_phase() noexcept {
+  const DriftSchedule& d = profile_.drift;
+  if (!d.active() || drift_.frozen) {
+    drift_phase_ = d.phase_at_ps(drift_.base_ps);
+    drift_refresh_at_ = ~std::uint64_t{0};
+    return;
+  }
+  const std::uint64_t at = drift_.base_ps + instructions_ * kNominalPsPerInstr;
+  drift_phase_ = d.phase_at_ps(at);
+  // First instruction count whose program time reaches the next period
+  // boundary; the phase cannot change before it.
+  const std::uint64_t period_ps = d.period_us * 1'000'000ULL;
+  const std::uint64_t boundary = (at / period_ps + 1) * period_ps;
+  drift_refresh_at_ =
+      (boundary - drift_.base_ps + kNominalPsPerInstr - 1) / kNominalPsPerInstr;
 }
 
 std::uint64_t TraceGenerator::sample_site_in_phase() {
+  // maybe_switch_phase() keeps phase_offset_ < sites - window (or 0 when
+  // the window covers every site) and the draw is < window, so the index
+  // never wraps.
   const std::size_t idx = phase_offset_ + site_zipf_.sample(rng_);
-  return sites_[idx % sites_.size()];
+  assert(idx < sites_.size());
+  return sites_[idx];
 }
 
 void TraceGenerator::maybe_switch_phase() {
@@ -84,11 +99,12 @@ TraceStep TraceGenerator::next() {
   step.instr_gap = gap;
   instructions_ += gap + 1;  // the branch is an instruction too
   ++branches_;
+  if (instructions_ >= drift_refresh_at_) refresh_drift_phase();
   maybe_switch_phase();
   // Drift phase of this branch. Every phase effect below reshapes an
   // existing draw — none adds or removes one — so generators with and
   // without an active schedule stay in RNG lockstep.
-  const std::uint32_t drift_ph = drift_phase();
+  const std::uint32_t drift_ph = drift_phase_;
 
   cpu::BranchEvent& ev = step.event;
   ev.source = sample_site_in_phase();

@@ -78,12 +78,17 @@ class TraceGenerator {
     return kSyscallBase + kSyscallStride * id;
   }
 
-  /// Drift phase the *next* emitted branch falls in (0 when inactive).
-  std::uint32_t drift_phase() const noexcept;
+  /// Drift phase at the current instruction count (0 when inactive): the
+  /// phase of the branch last emitted. Equal to
+  /// profile().drift.phase_at_ps(base_ps + instructions_emitted() x
+  /// kNominalPsPerInstr), or of base_ps when frozen, but cached: it is
+  /// recomputed only when the count crosses the next period boundary.
+  std::uint32_t drift_phase() const noexcept { return drift_phase_; }
 
  private:
   std::uint64_t sample_site_in_phase();
   void maybe_switch_phase();
+  void refresh_drift_phase() noexcept;
 
   const SpecProfile profile_;  // by value: generator owns its configuration
   DriftCursor drift_{};
@@ -106,6 +111,10 @@ class TraceGenerator {
 
   std::uint64_t instructions_ = 0;
   std::uint64_t branches_ = 0;
+
+  std::uint32_t drift_phase_ = 0;
+  /// instructions_ at which drift_phase_ may next change.
+  std::uint64_t drift_refresh_at_ = 0;
 };
 
 }  // namespace rtad::workloads

@@ -424,6 +424,40 @@ TEST(SessionCheckpoint, BlobTakenUnderOneKernelRestoresUnderTheOther) {
   }
 }
 
+TEST(SessionChunking, DenseAndEventAgreeAtEveryChunkSize) {
+  // The host fetches each step on the previous retirement edge, which
+  // turns the old fetch-only edge into a skippable one. Results, attacks
+  // included, must not depend on the kernel or on where advance() splits
+  // the run: one dense edge group (the 250 MHz host period), 1 us, or one
+  // unchunked call.
+  constexpr sim::Picoseconds kOneGroup = 4'000;
+  const auto run = [](sim::SchedMode sched, sim::Picoseconds chunk) {
+    auto opt = session_options();
+    opt.sched = sched;
+    auto session = make_session(opt);
+    if (chunk == 0) {
+      session->run_to_completion();
+    } else {
+      while (!session->done()) session->advance(chunk);
+    }
+    return session->result();
+  };
+  const DetectionResult want = run(sim::SchedMode::kDense, 0);
+  EXPECT_EQ(want.attacks, 1u);
+  EXPECT_GT(want.inferences, 0u);
+  for (const auto sched :
+       {sim::SchedMode::kDense, sim::SchedMode::kEventDriven}) {
+    for (const sim::Picoseconds chunk :
+         {kOneGroup, sim::kPsPerUs, sim::Picoseconds{0}}) {
+      if (sched == sim::SchedMode::kDense && chunk == 0) continue;
+      SCOPED_TRACE(std::string(sched == sim::SchedMode::kDense ? "dense"
+                                                               : "event") +
+                   " chunk " + std::to_string(chunk) + " ps");
+      expect_identical(run(sched, chunk), want);
+    }
+  }
+}
+
 TEST(SessionCheckpoint, BoundaryCasesRoundTrip) {
   auto cache = shared_cache();
 

@@ -1,6 +1,8 @@
 // Host CPU model + instrumentation cost tests.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "rtad/coresight/trace_source.hpp"
 #include "rtad/cpu/host_cpu.hpp"
 #include "rtad/cpu/instrumentation.hpp"
@@ -159,6 +161,52 @@ TEST(HostCpu, ResetClearsState) {
   EXPECT_EQ(cpu.program_instructions(), 0u);
   EXPECT_EQ(cpu.cycles(), 0u);
   EXPECT_EQ(cpu.irq_count(), 0u);
+}
+
+/// Fixed gap pattern; records how many steps were pulled.
+class CountingSource final : public StepSource {
+ public:
+  workloads::TraceStep next() override {
+    workloads::TraceStep step;
+    step.instr_gap = kGaps[calls % kGaps.size()];
+    step.event.kind = BranchKind::kCall;
+    ++calls;
+    return step;
+  }
+  static constexpr std::array<std::uint32_t, 6> kGaps{3, 0, 5, 1, 0, 2};
+  std::size_t calls = 0;
+};
+
+TEST(HostCpu, FetchesTheNextStepOnTheRetirementEdge) {
+  for (const auto mode :
+       {InstrumentationMode::kBaseline, InstrumentationMode::kSwAll}) {
+    CountingSource src;
+    HostCpuConfig cfg;
+    cfg.mode = mode;
+    HostCpu cpu(cfg, src, nullptr);
+    EXPECT_EQ(src.calls, 0u);
+    std::uint64_t retired = 0;
+    for (int edge = 0; edge < 2'000; ++edge) {
+      cpu.tick();
+      // Call k+1 lands on the edge where branch k retires: the source is
+      // always exactly one step ahead of retirement.
+      ASSERT_EQ(src.calls, cpu.branches_retired() + 1) << "edge " << edge;
+      if (cpu.branches_retired() != retired) {
+        retired = cpu.branches_retired();
+        // Straight after a retirement the whole next gap (or the
+        // instrumentation stall before it) is skippable.
+        const std::uint32_t gap =
+            CountingSource::kGaps[retired % CountingSource::kGaps.size()];
+        const sim::WakeHint hint = cpu.next_wake();
+        if (mode == InstrumentationMode::kBaseline) {
+          EXPECT_EQ(hint.idle_cycles, gap) << "edge " << edge;
+        } else {
+          EXPECT_FALSE(hint.is_active()) << "edge " << edge;
+        }
+      }
+    }
+    EXPECT_GT(retired, 100u);
+  }
 }
 
 TEST(HostCpu, SequenceNumbersAreMonotonic) {

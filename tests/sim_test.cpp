@@ -1,13 +1,21 @@
 // Simulation-kernel unit tests: clocks, scheduler, FIFOs, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
+#include "rtad/igm/vector_encoder.hpp"
 #include "rtad/sim/clock.hpp"
 #include "rtad/sim/fifo.hpp"
 #include "rtad/sim/rng.hpp"
 #include "rtad/sim/simulator.hpp"
 #include "rtad/sim/stats.hpp"
+#include "rtad/workloads/spec_model.hpp"
+#include "rtad/workloads/trace_generator.hpp"
 
 namespace rtad::sim {
 namespace {
@@ -382,6 +390,113 @@ TEST(Fifo, ZeroCapacityRejected) {
   EXPECT_THROW(Fifo<int>(0), std::invalid_argument);
 }
 
+TEST(Fifo, RingKeepsOrderThroughManyWrapArounds) {
+  // Capacity 5 against pushes and pops of uneven sizes: the ring's head
+  // and tail wrap hundreds of times, and the storage grows as occupancy
+  // climbs (8 slots suffice before the capacity is reached).
+  Fifo<int> f(5);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const int pushes = 1 + round % 5;
+    for (int i = 0; i < pushes && !f.full(); ++i) f.push(next_in++);
+    const int pops = 1 + (round * 7) % 4;
+    for (int i = 0; i < pops && !f.empty(); ++i) {
+      ASSERT_EQ(f.front(), next_out);
+      ASSERT_EQ(*f.pop(), next_out++);
+    }
+    ASSERT_EQ(f.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  while (auto v = f.pop()) EXPECT_EQ(*v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_GT(next_in, 1000);
+  EXPECT_EQ(f.overflows(), 0u);
+}
+
+TEST(Fifo, DropOldestEvictsHeadsInOrderAndFiresHooks) {
+  Fifo<int> f(3, DropPolicy::kDropOldest);
+  int wakes = 0;
+  std::vector<std::size_t> occupancy;
+  f.set_wake_hook([&] { ++wakes; });
+  f.set_occupancy_hook([&](std::size_t n) { occupancy.push_back(n); });
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(f.try_push(i));
+  // Wrap the ring with evictions: each overflow drops the oldest entry.
+  EXPECT_TRUE(f.try_push(3));
+  EXPECT_TRUE(f.try_push(4));
+  f.push(5);  // push agrees with try_push under kDropOldest
+  EXPECT_EQ(f.overflows(), 3u);
+  EXPECT_EQ(f.pushes(), 6u);
+  EXPECT_EQ(wakes, 6);
+  EXPECT_EQ(occupancy,
+            (std::vector<std::size_t>{1, 2, 3, 3, 3, 3}));
+  EXPECT_EQ(*f.pop(), 3);
+  EXPECT_EQ(*f.pop(), 4);
+  EXPECT_EQ(*f.pop(), 5);
+  EXPECT_FALSE(f.pop().has_value());
+  EXPECT_EQ(occupancy.back(), 0u);
+}
+
+TEST(Fifo, ClearThenReuseStartsFresh) {
+  Fifo<int> f(4);
+  std::vector<std::size_t> occupancy;
+  f.set_occupancy_hook([&](std::size_t n) { occupancy.push_back(n); });
+  for (int i = 0; i < 4; ++i) f.push(i);
+  f.pop();
+  f.push(4);  // tail wrapped before the clear
+  f.clear();
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(occupancy.back(), 0u);
+  EXPECT_FALSE(f.pop().has_value());
+  for (int i = 10; i < 14; ++i) EXPECT_TRUE(f.try_push(i));
+  EXPECT_FALSE(f.try_push(14));
+  for (int i = 10; i < 14; ++i) EXPECT_EQ(*f.pop(), i);
+  // Counters span the clear; only reset_stats() restarts them.
+  EXPECT_EQ(f.pushes(), 10u);
+  EXPECT_EQ(f.overflows(), 1u);
+  EXPECT_EQ(f.high_watermark(), 4u);
+}
+
+TEST(Fifo, HighWatermarkAfterWrapAndReset) {
+  Fifo<int> f(4);
+  for (int i = 0; i < 3; ++i) f.push(i);
+  f.pop();
+  f.pop();
+  for (int i = 3; i < 6; ++i) f.push(i);  // wraps: occupancy 4
+  EXPECT_EQ(f.high_watermark(), 4u);
+  f.pop();
+  f.pop();
+  f.reset_stats();  // restarts from the current occupancy, not zero
+  EXPECT_EQ(f.high_watermark(), 2u);
+  f.push(6);
+  EXPECT_EQ(f.high_watermark(), 3u);
+  EXPECT_EQ(f.pushes(), 1u);
+}
+
+TEST(Fifo, PopReleasesOwnedPayloads) {
+  // A popped (or evicted, or cleared) slot must not keep its payload's
+  // memory alive: track live payloads through a shared_ptr's use count.
+  const auto payload = std::make_shared<int>(7);
+  Fifo<std::shared_ptr<int>> f(4, DropPolicy::kDropOldest);
+  for (int i = 0; i < 4; ++i) f.push(payload);
+  EXPECT_EQ(payload.use_count(), 5);
+  f.pop();
+  EXPECT_EQ(payload.use_count(), 4);
+  f.push(payload);  // wraps
+  f.push(payload);  // evicts the head
+  EXPECT_EQ(payload.use_count(), 5);
+  f.clear();
+  EXPECT_EQ(payload.use_count(), 1);
+
+  // The pipeline's owning payload type moves out whole.
+  Fifo<igm::InputVector> vectors(2);
+  igm::InputVector in;
+  in.payload.assign(64, 3);
+  vectors.push(std::move(in));
+  const auto out = vectors.pop();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->payload, std::vector<std::uint32_t>(64, 3));
+}
+
 TEST(Rng, Deterministic) {
   Xoshiro256 a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
@@ -464,30 +579,58 @@ TEST(Rng, GeometricSamplerBitIdenticalToAdHocGeometric) {
 // The bucket index only narrows the binary-search bounds; every draw must
 // land on the same index a full search over the cdf would return.
 TEST(Zipf, BucketIndexBitIdenticalToFullBinarySearch) {
-  const std::size_t n = 137;
-  const double s = 1.15;
-  std::vector<double> cdf(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf[i] = sum;
+  // Every skew a generator builds a sampler with: the catalog's site and
+  // syscall skews plus the call-walk restart skew.
+  std::vector<double> skews{workloads::kFuncRestartSkew};
+  for (const auto& p : workloads::spec_cint2006()) {
+    skews.push_back(p.zipf_skew);
+    skews.push_back(p.syscall_zipf_skew);
   }
-  for (auto& c : cdf) c /= sum;
+  std::sort(skews.begin(), skews.end());
+  skews.erase(std::unique(skews.begin(), skews.end()), skews.end());
 
-  ZipfSampler zipf(n, s);
-  Xoshiro256 a(123), b(123);
-  for (int i = 0; i < 20000; ++i) {
-    const double u = b.uniform();
-    std::size_t lo = 0, hi = n - 1;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (cdf[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
+  for (const std::size_t n : {1, 2, 16, 137, 256, 4096}) {
+    for (const double s : skews) {
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+      }
+      for (auto& c : cdf) c /= sum;
+      const auto full_search = [&](double u) {
+        std::size_t lo = 0, hi = n - 1;
+        while (lo < hi) {
+          const std::size_t mid = (lo + hi) / 2;
+          if (cdf[mid] < u) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        return lo;
+      };
+
+      const ZipfSampler zipf(n, s);
+      const std::size_t buckets = zipf.buckets();
+      ASSERT_EQ(buckets, std::min<std::size_t>(4096, std::bit_ceil(4 * n)));
+      // Draws on and just below every bucket edge k / buckets.
+      for (std::size_t k = 0; k < buckets; ++k) {
+        const double edge =
+            static_cast<double>(k) / static_cast<double>(buckets);
+        ASSERT_EQ(zipf.index_of(edge), full_search(edge))
+            << "n=" << n << " s=" << s << " k=" << k;
+        if (k == 0) continue;
+        const double below = std::nextafter(edge, 0.0);
+        ASSERT_EQ(zipf.index_of(below), full_search(below))
+            << "n=" << n << " s=" << s << " below k=" << k;
+      }
+      Xoshiro256 a(123), b(123);
+      for (int i = 0; i < 20000; ++i) {
+        ASSERT_EQ(zipf.sample(a), full_search(b.uniform()))
+            << "n=" << n << " s=" << s << " i=" << i;
       }
     }
-    ASSERT_EQ(zipf.sample(a), lo) << "i=" << i;
   }
 }
 

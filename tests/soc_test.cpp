@@ -95,6 +95,24 @@ TEST(Soc, DetectsInjectedAttackEndToEnd) {
   EXPECT_EQ(soc.injector().attacks_launched(), 1u);
 }
 
+TEST(Soc, ArmAttackRejectsTriggersTheHostHasFetchedPast) {
+  SocConfig cfg;
+  cfg.profile = fast_profile();
+  RtadSoc soc(cfg, nullptr, nullptr);
+  soc.run_for_instructions(5'000);
+  // The injector runs ahead of retirement by the step in flight.
+  const std::uint64_t seen = soc.injector().instructions_seen();
+  EXPECT_GT(seen, soc.host_cpu().program_instructions());
+  EXPECT_THROW(soc.arm_attack(seen), AttackTriggerError);
+  EXPECT_THROW(soc.arm_attack(seen - 1), std::invalid_argument);
+  EXPECT_NO_THROW(soc.arm_attack(seen + 1));
+  // The next fetch still sees `seen` (< trigger); the one after launches.
+  soc.run_while([&] { return soc.injector().attacks_launched() == 0; },
+                soc.simulator().now() + sim::kPsPerMs);
+  EXPECT_EQ(soc.injector().attacks_launched(), 1u);
+  EXPECT_GT(soc.host_cpu().program_instructions(), seen);
+}
+
 TEST(Experiment, OverheadOrderingMatchesPaper) {
   // Paper-like syscall cadence (the fast_profile cap would inflate SW_SYS
   // beyond its real ranking).

@@ -270,5 +270,42 @@ TEST(TraceGenerator, DriftCursorFreezesOrAdvancesThePhase) {
   EXPECT_EQ(offset.drift_phase(), 3u);
 }
 
+TEST(TraceGenerator, CachedDriftPhaseEqualsTheDirectFormulaAtEveryStep) {
+  // The generator recomputes its drift phase only when the instruction
+  // count crosses the next period boundary; check it against
+  // DriftSchedule::phase_at_ps after every step, for periods from a few
+  // dozen branches up to the benches' 5 ms, bases on and off the 4000 ps
+  // instruction grid, and frozen cursors.
+  std::uint64_t steps = 0;
+  for (const std::uint64_t period_us : {1, 7, 100, 5'000}) {
+    auto p = find_profile("astar");
+    p.drift.period_us = period_us;
+    p.drift.phases = 4;
+    p.drift.syscall_rotate = 7;
+    const std::uint64_t period_ps = period_us * 1'000'000ULL;
+    for (const std::uint64_t base_ps :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3'999},
+          std::uint64_t{4'001}, 2 * period_ps - 1, 3 * period_ps + 2'500,
+          std::uint64_t{1'000'000'000'123}}) {
+      for (const bool frozen : {false, true}) {
+        const DriftCursor cursor{base_ps, frozen};
+        TraceGenerator gen(p, 5, cursor);
+        const int n = frozen ? 5'000 : 40'000;
+        for (int i = 0; i <= n; ++i) {
+          const std::uint64_t program_ps =
+              gen.instructions_emitted() * kNominalPsPerInstr;
+          const std::uint64_t at = frozen ? base_ps : base_ps + program_ps;
+          ASSERT_EQ(gen.drift_phase(), p.drift.phase_at_ps(at))
+              << "period_us=" << period_us << " base_ps=" << base_ps
+              << " frozen=" << frozen << " step=" << i;
+          gen.next();
+          ++steps;
+        }
+      }
+    }
+  }
+  EXPECT_GE(steps, 1'000'000u);
+}
+
 }  // namespace
 }  // namespace rtad::workloads
