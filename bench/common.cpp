@@ -1,13 +1,69 @@
 #include "common.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "rtad/core/env.hpp"
 
 namespace rtad::bench {
+
+namespace {
+
+// Every RTAD_* variable an entry point reads, here or in src/. The tier-1
+// test_knob_list keeps this list equal to the "RTAD_..." literals in src/
+// and bench/, so a knob cannot be added or dropped without it.
+constexpr std::string_view kKnobs[] = {
+    "RTAD_BACKEND",
+    "RTAD_BENCH_JSON",
+    "RTAD_ENSEMBLE_QUORUM",
+    "RTAD_ENSEMBLE_RETRAIN_US",
+    "RTAD_ENSEMBLE_SIZE",
+    "RTAD_ENSEMBLE_WINDOW",
+    "RTAD_FAULTS",
+    "RTAD_JOBS",
+    "RTAD_METRICS",
+    "RTAD_SCHED",
+    "RTAD_SERVE_CHECKPOINT_CAP_KB",
+    "RTAD_SERVE_POLICY",
+    "RTAD_SERVE_RETRY",
+    "RTAD_SMOKE",
+    "RTAD_TELEMETRY",
+    "RTAD_TELEMETRY_CAP_KB",
+    "RTAD_TELEMETRY_PAGE",
+    "RTAD_TRACE",
+    "RTAD_TRACE_PROTO",
+};
+
+/// Throws for the first set (non-empty) RTAD_* variable that is not in
+/// kKnobs: a knob this tree no longer reads would otherwise be ignored,
+/// and the bench would run a shape nobody asked for.
+void reject_unknown_knobs() {
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string_view var(*e);
+    if (!var.starts_with("RTAD_") || var.ends_with('=')) continue;
+    const std::string_view name = var.substr(0, var.find('='));
+    if (std::find(std::begin(kKnobs), std::end(kKnobs), name) ==
+        std::end(kKnobs)) {
+      throw std::invalid_argument(std::string(name) +
+                                  ": no entry point reads this knob; unset "
+                                  "it (RTAD_SMOKE=1 selects the CI scale)");
+    }
+  }
+}
+
+}  // namespace
+
+bool smoke() {
+  static const bool on = core::env::flag_or("RTAD_SMOKE", false);
+  return on;
+}
 
 core::TrainingOptions reduced_training() {
   core::TrainingOptions opts;
@@ -21,9 +77,8 @@ core::TrainingOptions reduced_training() {
 
 std::shared_ptr<core::TrainedModelCache> model_cache(
     core::TrainedModelCache::ProfileResolver resolver) {
-  const bool fast_train = core::env::flag_or("RTAD_FAST_TRAIN", false);
   return std::make_shared<core::TrainedModelCache>(
-      fast_train ? reduced_training() : core::TrainingOptions{},
+      smoke() ? reduced_training() : core::TrainingOptions{},
       std::move(resolver));
 }
 
@@ -56,6 +111,7 @@ void Gates::check(bool pass, const std::string& what) {
 
 int run(const char* bench, const std::function<int()>& body) {
   try {
+    reject_unknown_knobs();
     return body();
   } catch (const std::invalid_argument& e) {
     std::cerr << bench << ": " << e.what() << "\n";

@@ -1,12 +1,15 @@
-// Shared scaffolding for the bench binaries: the reduced-training switch,
-// the JSON artifact writer, gate bookkeeping and the malformed-knob exit.
+// Shared scaffolding for the bench binaries: the scale switch, the JSON
+// artifact writer, gate bookkeeping and the bad-knob exit.
 //
 // Knobs every bench honours through this header:
-//   RTAD_FAST_TRAIN=1     train on a reduced corpus (CI scale);
+//   RTAD_SMOKE=1          run at CI scale: the reduced training corpus plus
+//                         each bench's smoke shape (a struct literal beside
+//                         its paper-shape literal in the bench's source);
 //   RTAD_BENCH_JSON=path  where the bench's JSON document goes (each bench
 //                         keeps its own default file name).
 // Knobs are parsed by core::env, so a malformed value exits with status 2
-// and a message naming the variable instead of running the wrong bench.
+// and a message naming the variable instead of running the wrong bench; so
+// does any set RTAD_* variable that no entry point reads (a stale knob).
 #pragma once
 
 #include <functional>
@@ -18,12 +21,16 @@
 
 namespace rtad::bench {
 
+/// True under RTAD_SMOKE=1: the bench runs at CI scale instead of the
+/// paper's. Read once.
+bool smoke();
+
 /// The reduced training corpus (CI scale): fewer tokens and windows and
 /// one LSTM epoch, so a run is dominated by simulation, not host-side
 /// training; results stay deterministic, just trained on less data.
 core::TrainingOptions reduced_training();
 
-/// A model cache. Under RTAD_FAST_TRAIN=1 it trains on reduced_training().
+/// A model cache. Under smoke() it trains on reduced_training().
 std::shared_ptr<core::TrainedModelCache> model_cache(
     core::TrainedModelCache::ProfileResolver resolver = {});
 
@@ -54,9 +61,10 @@ class Gates {
   bool ok_ = true;
 };
 
-/// Runs a bench body. A std::invalid_argument escaping it (a malformed
-/// knob, an unknown benchmark name) is printed as "<bench>: <what>" and
-/// turns into exit status 2.
+/// Runs a bench body. A set RTAD_* variable that no entry point reads, or a
+/// std::invalid_argument escaping the body (a malformed knob, an unknown
+/// benchmark name), is printed as "<bench>: <what>" and turns into exit
+/// status 2.
 int run(const char* bench, const std::function<int()>& body);
 
 }  // namespace rtad::bench

@@ -24,12 +24,12 @@
 //      the JSON body; wall-clock (including the retrain wall time) goes to
 //      stderr and the trailing "host" object only.
 //
-// The drifting profile derives from astar. Environment knobs:
-// RTAD_ENSEMBLE_BENCH_ATTACKS per session (default 4);
-// RTAD_ENSEMBLE_BENCH_SESSIONS for the serve stage (default 8);
-// RTAD_BENCH_JSON (default BENCH_ensemble.json) and RTAD_FAST_TRAIN=1 as
-// in bench/common.hpp; the DetectionOptions::from_env knobs (RTAD_SCHED,
-// RTAD_BACKEND, ...) for every session, the fleet included; and RTAD_JOBS.
+// The drifting profile derives from astar: 4 attacks per session and 8
+// sessions in the serve stage, or under RTAD_SMOKE=1 2 attacks and 4
+// sessions on the reduced corpus. Environment knobs: RTAD_SMOKE and
+// RTAD_BENCH_JSON (default BENCH_ensemble.json) as in bench/common.hpp;
+// the DetectionOptions::from_env knobs (RTAD_SCHED, RTAD_BACKEND, ...) for
+// every session, the fleet included; and RTAD_JOBS.
 // stdout and the JSON document minus its trailing "host" object are
 // byte-identical across schedulers, backends, and worker counts.
 #include <chrono>
@@ -40,7 +40,6 @@
 
 #include "common.hpp"
 #include "rtad/core/detection_session.hpp"
-#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
@@ -60,6 +59,14 @@ constexpr std::uint64_t kDriftPeriodUs = 5'000;
 constexpr std::uint32_t kDriftPhases = 4;
 constexpr std::uint32_t kSyscallRotate = 7;
 
+/// The run's size: attacks per session and the serve stage's sessions.
+struct Shape {
+  std::size_t attacks;
+  std::size_t sessions;
+};
+constexpr Shape kPaperShape{4, 8};
+constexpr Shape kSmokeShape{2, 4};
+
 struct SizeRow {
   std::uint32_t size = 0;
   core::DetectionResult result;
@@ -77,10 +84,7 @@ double fp_rate(const core::DetectionResult& r) {
 int run() {
   const std::string base_name = workloads::find_profile("astar").name;
   const std::string drift_name = base_name + "-drift";
-  const std::size_t attacks =
-      core::env::positive_or("RTAD_ENSEMBLE_BENCH_ATTACKS", 4);
-  const std::size_t sessions =
-      core::env::positive_or("RTAD_ENSEMBLE_BENCH_SESSIONS", 8);
+  const auto [attacks, sessions] = bench::smoke() ? kSmokeShape : kPaperShape;
   core::DetectionOptions opts = core::DetectionOptions::from_env();
   opts.attacks = attacks;
 

@@ -14,10 +14,10 @@
 // plus, for r>0, a 20k-cycle watchdog and the IGM drop-and-resync overflow
 // policy so every recovery path is exercised.
 //
-// The cell is astar, LSTM on ML-MIAOW. Environment knobs:
-// RTAD_SWEEP_ATTACKS=N (default 4); RTAD_SWEEP_RATES="0,0.002,0.02"
-// (sorted+deduped; default "0,0.0002,0.001,0.005,0.02"); RTAD_BENCH_JSON
-// (default BENCH_fault_sweep.json) and RTAD_FAST_TRAIN=1 as in
+// The cell is astar, LSTM on ML-MIAOW: 4 attacks per cell over the rates
+// {0, 0.0002, 0.001, 0.005, 0.02}, or under RTAD_SMOKE=1 2 attacks over
+// {0, 0.002, 0.02} on the reduced corpus. Environment knobs: RTAD_SMOKE
+// and RTAD_BENCH_JSON (default BENCH_fault_sweep.json) as in
 // bench/common.hpp; RTAD_JOBS and the DetectionOptions::from_env knobs
 // (RTAD_SCHED, RTAD_BACKEND, ...; the sweep owns the fault plan). stdout
 // is byte-identical across schedulers, backends and worker counts
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
@@ -40,17 +39,14 @@ namespace {
 constexpr core::ModelKind kModel = core::ModelKind::kLstm;
 constexpr core::EngineKind kEngine = core::EngineKind::kMlMiaow;
 
-std::vector<double> selected_rates() {
-  const std::vector<std::string> ladder{"0", "0.0002", "0.001", "0.005",
-                                        "0.02"};
+/// The sweep's size: attacks per cell and the fault-rate bins, ascending
+/// from 0 (bin 0 is the idle-plan gate, the last bin the engaged one).
+struct Shape {
+  std::size_t attacks;
   std::vector<double> rates;
-  for (const auto& item : core::env::list_or("RTAD_SWEEP_RATES", ladder)) {
-    rates.push_back(core::env::number("RTAD_SWEEP_RATES", item, 0.0, 0.1));
-  }
-  std::sort(rates.begin(), rates.end());
-  rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
-  return rates;
-}
+};
+const Shape kPaperShape{4, {0, 0.0002, 0.001, 0.005, 0.02}};
+const Shape kSmokeShape{2, {0, 0.002, 0.02}};
 
 fault::FaultPlan plan_for(double rate) {
   using fault::FaultSite;
@@ -83,9 +79,10 @@ std::uint64_t recovery_sum(const core::DetectionResult& d) {
 
 int run() {
   const std::string benchmark = workloads::find_profile("astar").name;
-  const auto rates = selected_rates();
+  const Shape& shape = bench::smoke() ? kSmokeShape : kPaperShape;
+  const auto& rates = shape.rates;
   core::DetectionOptions dopt = core::DetectionOptions::from_env();
-  dopt.attacks = core::env::positive_or("RTAD_SWEEP_ATTACKS", 4);
+  dopt.attacks = shape.attacks;
   std::cout << "FAULT SWEEP: DETECTION UNDER DETERMINISTIC FAULT INJECTION\n\n";
 
   // Cell layout: one baseline cell (no plan at all), then one cell per rate

@@ -15,14 +15,14 @@
 // the bounded-memory half of the failover contract.
 //
 // The workload is astar with Zipf s=1.2 tenant skew, storm intensities 0.3
-// and 0.9, seed 2026. Environment knobs: RTAD_FAILOVER_SESSIONS (default
-// 24); RTAD_FAILOVER_TENANTS (default 10); the fleet-shape and failover
-// knobs parsed by ServiceConfig::from_env (RTAD_SERVE_POLICY / RETRY /
-// CHECKPOINT_CAP_KB); RTAD_BENCH_JSON (default BENCH_serve_failover.json)
-// and RTAD_FAST_TRAIN=1 as in bench/common.hpp; and RTAD_JOBS /
-// RTAD_SCHED as everywhere. stdout and the JSON artifact are
-// byte-identical across both schedulers and any worker count; wall-clock
-// and ru_maxrss diagnostics go to stderr only.
+// and 0.9, seed 2026: 24 sessions from 10 tenants, or under RTAD_SMOKE=1
+// 10 sessions from 6 tenants on the reduced corpus. Environment knobs: the
+// fleet-shape and failover knobs parsed by ServiceConfig::from_env
+// (RTAD_SERVE_POLICY / RETRY / CHECKPOINT_CAP_KB); RTAD_SMOKE and
+// RTAD_BENCH_JSON (default BENCH_serve_failover.json) as in
+// bench/common.hpp; and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and
+// the JSON artifact are byte-identical across both schedulers and any
+// worker count; wall-clock and ru_maxrss diagnostics go to stderr only.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "rtad/core/env.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
@@ -45,6 +44,14 @@ namespace {
 constexpr double kZipfS = 1.2;
 constexpr std::uint64_t kSeed = 2026;
 constexpr double kStorms[] = {0.3, 0.9};
+
+/// The arrival schedule's size.
+struct Shape {
+  std::size_t sessions;
+  std::size_t tenants;
+};
+constexpr Shape kPaperShape{24, 10};
+constexpr Shape kSmokeShape{10, 6};
 
 fault::ServeFaultPlan storm_plan(double intensity) {
   fault::ServeFaultPlan plan;
@@ -70,10 +77,7 @@ bool same_verdict(const core::DetectionResult& a,
 
 int run() {
   const std::string benchmark = workloads::find_profile("astar").name;
-  const std::size_t sessions =
-      core::env::positive_or("RTAD_FAILOVER_SESSIONS", 24);
-  const std::size_t tenants =
-      core::env::positive_or("RTAD_FAILOVER_TENANTS", 10);
+  const auto [sessions, tenants] = bench::smoke() ? kSmokeShape : kPaperShape;
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
   scfg.detection.attacks = 1;

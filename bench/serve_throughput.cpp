@@ -16,11 +16,12 @@
 // > 0 for the deep-overload point, deterministically.
 //
 // The workload is fixed: astar, 32 sessions from 12 tenants, one attack per
-// episode, offered loads 0.5 / 1.5 / 6, seed 2026. Environment knobs: the
-// fleet shape parsed by ServiceConfig::from_env (RTAD_SERVE_POLICY /
-// RETRY / CHECKPOINT_CAP_KB), RTAD_BENCH_JSON (default
-// BENCH_serve.json) and RTAD_FAST_TRAIN=1 as in bench/common.hpp, and
-// RTAD_JOBS / RTAD_SCHED as everywhere. stdout and BENCH_serve.json are
+// episode, offered loads 0.5 / 1.5 / 6, seed 2026; RTAD_SMOKE=1 only
+// trains on the reduced corpus. Environment knobs: the fleet shape parsed
+// by ServiceConfig::from_env (RTAD_SERVE_POLICY / RETRY /
+// CHECKPOINT_CAP_KB), RTAD_SMOKE and RTAD_BENCH_JSON (default
+// BENCH_serve.json) as in bench/common.hpp, and RTAD_JOBS / RTAD_SCHED as
+// everywhere. stdout and BENCH_serve.json are
 // byte-identical across both schedulers and any worker count; wall-clock
 // diagnostics go to stderr.
 #include <algorithm>

@@ -21,10 +21,10 @@
 // coverage conserves every ingested sample; every hot tenant outranks every
 // warm tenant; repeated queries are byte-identical.
 //
-// Each tenant streams 24 samples; the first query repeats 32 times for the
-// latency distribution; the seed is 2026. Environment knobs:
-// RTAD_TELEMETRY_TENANTS (default 100000); RTAD_BENCH_JSON (default
-// BENCH_telemetry.json, see bench/common.hpp); plus the store shape via
+// 10^5 tenants (2 * 10^4 under RTAD_SMOKE=1, see bench/common.hpp) each
+// stream 24 samples; the first query repeats 32 times for the latency
+// distribution; the seed is 2026. Environment knobs: RTAD_SMOKE;
+// RTAD_BENCH_JSON (default BENCH_telemetry.json); plus the store shape via
 // RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE, read by
 // serve::ServiceConfig::from_env (bench defaults: no spill, 32 MiB cap,
 // 8-sample pages); RTAD_JOBS sizes the synthesis pool.
@@ -58,6 +58,10 @@ namespace {
 constexpr std::size_t kHotTenants = 4;
 constexpr std::size_t kWarmTenants = 4;
 constexpr sim::Picoseconds kTickPs = 50 * sim::kPsPerUs;
+constexpr std::size_t kPaperTenants = 100'000;
+constexpr std::size_t kSmokeTenants = 20'000;
+static_assert(kSmokeTenants > kHotTenants + kWarmTenants,
+              "the planted cohorts need a background");
 constexpr std::size_t kSamples = 24;
 constexpr std::size_t kQueryReps = 32;
 constexpr std::uint64_t kSeed = 2026;
@@ -126,15 +130,9 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
 }
 
 int run() {
-  const std::size_t tenants =
-      core::env::positive_or("RTAD_TELEMETRY_TENANTS", 100'000);
+  const std::size_t tenants = bench::smoke() ? kSmokeTenants : kPaperTenants;
   const std::size_t samples = kSamples;
   const std::uint64_t seed = kSeed;
-  if (tenants <= kHotTenants + kWarmTenants) {
-    std::cerr << "telemetry_query: need more tenants than the planted "
-                 "cohorts\n";
-    return 2;
-  }
 
   telemetry::StoreConfig store_cfg =
       serve::ServiceConfig::from_env().telemetry;

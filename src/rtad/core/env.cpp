@@ -16,7 +16,7 @@ namespace {
                               " (got '" + value + "')");
 }
 
-/// strtoll/strtod silently skip leading whitespace; the knob grammar does
+/// strtoll/strtoull silently skip leading whitespace; the knob grammar does
 /// not — " 4" is as much a typo as "4 ".
 bool leading_space(const std::string& v) {
   return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) != 0;
@@ -81,25 +81,6 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback,
   return static_cast<std::uint64_t>(parsed);
 }
 
-double number(const char* name, const std::string& value, double lo,
-              double hi) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (leading_space(value) || errno != 0 || end == value.c_str() ||
-      *end != '\0' || parsed < lo || parsed > hi) {
-    reject(name, value,
-           "a number in [" + std::to_string(lo) + ", " + std::to_string(hi) +
-               "]");
-  }
-  return parsed;
-}
-
-double number_or(const char* name, double fallback, double lo, double hi) {
-  const auto v = raw(name);
-  return v ? number(name, *v, lo, hi) : fallback;
-}
-
 std::string choice_or(const char* name,
                       std::initializer_list<const char*> allowed,
                       const char* fallback) {
@@ -115,23 +96,6 @@ bool flag_or(const char* name, bool fallback) {
   if (*v == "0") return false;
   if (*v == "1") return true;
   reject(name, *v, "'0' or '1'");
-}
-
-std::vector<std::string> list_or(const char* name,
-                                 std::vector<std::string> fallback,
-                                 std::initializer_list<const char*> allowed) {
-  const auto v = raw(name);
-  if (!v) return fallback;
-  std::vector<std::string> items;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t comma = v->find(',', begin);
-    items.push_back(v->substr(begin, comma - begin));
-    if (items.back().empty()) reject(name, *v, "a list of non-empty items");
-    if (allowed.size() != 0) check_choice(name, items.back(), allowed);
-    if (comma == std::string::npos) return items;
-    begin = comma + 1;
-  }
 }
 
 }  // namespace rtad::core::env

@@ -16,8 +16,9 @@
 // Only the entry points call these helpers: DetectionOptions::from_env,
 // EnsembleParams::from_env, serve::ServiceConfig::from_env, the `jobs == 0`
 // of ExperimentRunner / serve::Service (core::resolve_jobs), and the bench
-// mains for their own bench-only knobs. The layers below core never read
-// the environment; their config structs default to constants.
+// mains (RTAD_SMOKE and RTAD_BENCH_JSON through bench/common). The layers
+// below core never read the environment; their config structs default to
+// constants.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,6 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace rtad::core::env {
 
@@ -48,13 +48,6 @@ std::size_t positive_or(const char* name, std::size_t fallback,
 std::uint64_t u64_or(const char* name, std::uint64_t fallback,
                      std::uint64_t max = UINT64_MAX);
 
-/// Floating-point knob constrained to [lo, hi]. Throws on malformed or
-/// out-of-range values.
-double number_or(const char* name, double fallback, double lo, double hi);
-
-/// number_or's grammar applied to one value of knob `name` (a list item).
-double number(const char* name, const std::string& value, double lo, double hi);
-
 /// Enumerated knob: the value must equal one of `allowed` exactly. Throws
 /// with a message listing the accepted spellings.
 std::string choice_or(const char* name,
@@ -63,12 +56,5 @@ std::string choice_or(const char* name,
 
 /// Boolean knob: "0"/"1" only. Throws on anything else.
 bool flag_or(const char* name, bool fallback);
-
-/// Comma-separated list knob, items in order. Every item must be
-/// non-empty ("a,,b", "a," and ",a" throw) and, when `allowed` is given,
-/// equal one of its spellings.
-std::vector<std::string> list_or(
-    const char* name, std::vector<std::string> fallback,
-    std::initializer_list<const char*> allowed = {});
 
 }  // namespace rtad::core::env

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Checks that a malformed RTAD_* knob makes a bench exit with status 2 and
-# name the variable on stderr (the bench/common.hpp contract), instead of
-# ending in std::terminate.
+# Checks that a malformed RTAD_* knob, or a set one that no entry point
+# reads, makes a bench exit with status 2 and name the variable on stderr
+# (the bench/common.hpp contract), instead of ending in std::terminate or
+# running a shape nobody asked for.
 # Usage: bench_knob_test.sh <bench-bin-dir> <work-dir>
 set -u
 bin="$1"
@@ -41,4 +42,7 @@ done
 expect_exit2 fig8_detection RTAD_TRACE_PROTO bogus
 expect_exit2 fig8_detection RTAD_FAULTS no_such_key=1
 expect_exit2 serve_throughput RTAD_SERVE_POLICY bogus
+expect_exit2 fault_sweep RTAD_SMOKE yes
+# A knob this tree no longer reads: it used to trim fig8 to one benchmark.
+expect_exit2 fig8_detection RTAD_FIG8_BENCHMARKS astar
 exit "${status}"

@@ -6,15 +6,18 @@
 #
 #   <bench>   a bench name (runs ${BUILD_DIR:-build}/bench/<bench>) or a
 #             path to any executable that follows the bench conventions;
-#   VAR=val   knobs exported to every run (e.g. RTAD_FAST_TRAIN=1).
+#   VAR=val   extra variables exported to every run.
 #
+# Every run is at CI scale: the script exports RTAD_SMOKE=1 itself.
 # Modes: RTAD_SCHED=dense|event x RTAD_JOBS=1|8, plus RTAD_SCHED=event
 # RTAD_JOBS=8 RTAD_BACKEND=fast. Every run must exit 0 (the bench's own
 # gates). Across all modes the script then requires:
 #   * stdout byte-identical;
 #   * the RTAD_BENCH_JSON document byte-identical once its trailing
 #     top-level "host" object (host-dependent timings) is cut off, valid
-#     JSON (python3 -m json.tool), and "gates_pass": true where present.
+#     JSON (python3 -m json.tool), and "gates_pass": true where present;
+#   * for fig8_detection, the same set of per-cell Perfetto and metrics
+#     exports (<mode>.{trace,metrics}[.cellNNN].json), byte-identical.
 # Bench-specific checks follow the mode sweep (see the case below).
 #
 # Outputs stay in ${SMOKE_DIR:-${BUILD_DIR:-build}/smoke}/<name>/ as
@@ -36,6 +39,7 @@ name="$(basename "${bench}")"
 [ -x "${exe}" ] || { echo "smoke: ${exe} is not executable" >&2; exit 2; }
 exe="$(cd "$(dirname "${exe}")" && pwd)/$(basename "${exe}")"
 knobs=("$@")
+export RTAD_SMOKE=1
 out="${SMOKE_DIR:-${BUILD_DIR:-build}/smoke}/${name}"
 rm -rf "${out}"
 mkdir -p "${out}"
@@ -82,6 +86,28 @@ open(path[:-len(".json")] + ".core", "w").write(text)
 EOF
 }
 
+# exports <tag> <kind>: the <kind> (trace or metrics) export files run
+# <tag> wrote, one per cell, as suffixes after "<tag>.".
+exports() {
+  local f
+  for f in "$1.$2".*json; do
+    if [ -f "${f}" ]; then echo "${f#"$1".}"; fi
+  done
+}
+
+# same_exports <a> <b> <kind>: runs a and b wrote the same <kind> export
+# files, byte for byte, and at least one.
+same_exports() {
+  local x a_files
+  a_files="$(exports "$1" "$3")"
+  [ -n "${a_files}" ] || fail "$1 wrote no $3 export"
+  [ "${a_files}" = "$(exports "$2" "$3")" ] ||
+    fail "$1 and $2 wrote different $3 export files"
+  for x in ${a_files}; do
+    same "$1.${x}" "$2.${x}"
+  done
+}
+
 modes=(dense-j1 dense-j8 event-j1 event-j8 fast-j8)
 mode_env() {
   case "$1" in
@@ -116,16 +142,17 @@ for mode in "${modes[@]:1}"; do
     core "${mode}.json"
     same "${ref}.core" "${mode}.core"
   fi
-  for ext in trace.json metrics.json; do
-    [ -f "${ref}.${ext}" ] || continue
-    same "${ref}.${ext}" "${mode}.${ext}"
+  if [ "${#obs[@]}" -gt 0 ]; then
+    same_exports "${ref}" "${mode}" trace
+    same_exports "${ref}" "${mode}" metrics
+  fi
+done
+if [ "${#obs[@]}" -gt 0 ]; then
+  for x in $(exports "${ref}" trace) $(exports "${ref}" metrics); do
+    python3 -m json.tool "${ref}.${x}" > /dev/null ||
+      fail "${ref}.${x} is not valid JSON"
   done
-done
-for ext in trace.json metrics.json; do
-  [ -f "${ref}.${ext}" ] || continue
-  python3 -m json.tool "${ref}.${ext}" > /dev/null ||
-    fail "${ref}.${ext} is not valid JSON"
-done
+fi
 
 case "${name}" in
   fig8_detection)
@@ -138,7 +165,7 @@ case "${name}" in
       run "pft-${mode}" $(mode_env "${mode}") RTAD_TRACE_PROTO=pft \
         RTAD_METRICS="pft-${mode}.metrics.json"
       same "${ref}.txt" "pft-${mode}.txt"
-      same "${ref}.metrics.json" "pft-${mode}.metrics.json"
+      same_exports "${ref}" "pft-${mode}" metrics
     done
     # E-Trace: deterministic on its own, and the same verdicts as PFT.
     for mode in dense-j1 event-j8; do
@@ -147,21 +174,28 @@ case "${name}" in
         RTAD_METRICS="etrace-${mode}.metrics.json"
     done
     same etrace-dense-j1.txt etrace-event-j8.txt
-    same etrace-dense-j1.metrics.json etrace-event-j8.metrics.json
-    python3 - "${ref}.metrics.json" etrace-dense-j1.metrics.json <<'EOF' ||
-import json, sys
-pft = json.load(open(sys.argv[1]))
-et = json.load(open(sys.argv[2]))
-for key in ("attacks", "detections", "false_positives"):
-    assert pft["detection"][key] == et["detection"][key], (
-        key, pft["detection"][key], et["detection"][key])
-assert et["trace"]["protocol"] == "etrace"
-assert et["trace"]["decode_branches"] > 0
-print("cross-protocol verdicts identical:",
-      {k: pft["detection"][k]
-       for k in ("attacks", "detections", "false_positives")})
+    same_exports etrace-dense-j1 etrace-event-j8 metrics
+    # Summed over every cell; a run in which no cell detected would pass
+    # by comparing zeros, so it fails.
+    python3 - "${ref}" etrace-dense-j1 <<'EOF' ||
+import glob, json, sys
+keys = ("attacks", "detections", "false_positives")
+def cells(tag):
+    return [json.load(open(p))
+            for p in sorted(glob.glob(tag + ".metrics*.json"))]
+def totals(docs):
+    return {k: sum(doc["detection"][k] for doc in docs) for k in keys}
+pft_docs, et_docs = cells(sys.argv[1]), cells(sys.argv[2])
+assert len(pft_docs) == len(et_docs) > 0, (len(pft_docs), len(et_docs))
+for doc in et_docs:
+    assert doc["trace"]["protocol"] == "etrace", doc["trace"]
+    assert doc["trace"]["decode_branches"] > 0, doc["trace"]
+pft, et = totals(pft_docs), totals(et_docs)
+assert pft == et, ("pft", pft, "etrace", et)
+assert pft["detections"] > 0, ("no cell detected", pft)
+print("cross-protocol verdicts identical, summed over all cells:", pft)
 EOF
-      fail "E-Trace verdicts differ from PFT"
+      fail "E-Trace verdicts differ from PFT, or no cell detected"
     ;;
   serve_throughput)
     # The degrade policy passes its gates and stays deterministic.
