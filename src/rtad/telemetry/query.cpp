@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace rtad::telemetry {
 
@@ -18,6 +19,58 @@ SummaryBin tail_bin(const TelemetryStore::Stream& stream) {
   SummaryBin bin;
   for (const Sample& s : stream.open) bin.fold(s);
   return bin;
+}
+
+/// A tenant's RankEntry fields with the name left at the store's map key;
+/// only tenants that make the returned ranking get their name copied.
+struct Scored {
+  const std::string* tenant = nullptr;
+  double severity = 0.0;
+  double anomaly_rate = 0.0;
+  double peak_score = 0.0;
+  std::uint64_t samples = 0;
+  std::uint64_t health = 0;
+};
+
+/// The rank order: severity descending, then tenant name ascending. Names
+/// are unique, so it is a strict total order.
+bool ranks_before(const Scored& a, const Scored& b) {
+  if (a.severity != b.severity) return a.severity > b.severity;
+  return *a.tenant < *b.tenant;
+}
+
+/// Score one stream's effective tier-1 view over the query window; false
+/// when no bin overlaps it.
+bool score_stream(const TelemetryStore::Stream& stream, const RankQuery& query,
+                  sim::Picoseconds window_end, sim::Picoseconds half_life,
+                  Scored& out) {
+  double weighted_flagged = 0.0;
+  double weighted_count = 0.0;
+  bool any = false;
+  auto score_bin = [&](const SummaryBin& bin) {
+    if (!overlaps(bin, query.t0, query.t1)) return;
+    const double age = bin.last_ps >= window_end
+                           ? 0.0
+                           : static_cast<double>(window_end - bin.last_ps);
+    const double w = std::exp2(-age / static_cast<double>(half_life));
+    weighted_flagged += w * static_cast<double>(bin.flagged);
+    weighted_count += w * static_cast<double>(bin.count);
+    out.samples += bin.count;
+    out.health += bin.health;
+    out.peak_score = any ? std::max(out.peak_score, bin.max_score)
+                         : bin.max_score;
+    any = true;
+    out.anomaly_rate += static_cast<double>(bin.flagged);
+  };
+  for (const SummaryBin& bin : stream.tier1) score_bin(bin);
+  score_bin(tail_bin(stream));
+  if (!any) return false;
+  out.severity =
+      weighted_count > 0.0 ? weighted_flagged / weighted_count : 0.0;
+  out.anomaly_rate = out.samples == 0 ? 0.0
+                                      : out.anomaly_rate /
+                                            static_cast<double>(out.samples);
+  return true;
 }
 
 }  // namespace
@@ -71,47 +124,35 @@ std::vector<RankEntry> rank_tenants(const TelemetryStore& store,
     if (half_life == 0) half_life = 1;
   }
 
-  std::vector<RankEntry> ranked;
+  const std::size_t k = query.top_k;
+  const std::size_t n = store.tenants();
+  std::vector<Scored> kept;
+  kept.reserve(k == 0 ? n : std::min(k, n));
   for (const auto& [tenant, stream] : store.streams()) {
-    RankEntry entry;
-    entry.tenant = tenant;
-    double weighted_flagged = 0.0;
-    double weighted_count = 0.0;
-    bool any = false;
-    auto score_bin = [&](const SummaryBin& bin) {
-      if (!overlaps(bin, query.t0, query.t1)) return;
-      const double age = bin.last_ps >= window_end
-                             ? 0.0
-                             : static_cast<double>(window_end - bin.last_ps);
-      const double w = std::exp2(-age / static_cast<double>(half_life));
-      weighted_flagged += w * static_cast<double>(bin.flagged);
-      weighted_count += w * static_cast<double>(bin.count);
-      entry.samples += bin.count;
-      entry.health += bin.health;
-      entry.peak_score =
-          any ? std::max(entry.peak_score, bin.max_score) : bin.max_score;
-      any = true;
-      entry.anomaly_rate += static_cast<double>(bin.flagged);
-    };
-    for (const SummaryBin& bin : stream.tier1) score_bin(bin);
-    score_bin(tail_bin(stream));
-    if (!any) continue;
-    entry.severity =
-        weighted_count > 0.0 ? weighted_flagged / weighted_count : 0.0;
-    entry.anomaly_rate = entry.samples == 0
-                             ? 0.0
-                             : entry.anomaly_rate /
-                                   static_cast<double>(entry.samples);
-    ranked.push_back(std::move(entry));
+    Scored s;
+    if (!score_stream(stream, query, window_end, half_life, s)) continue;
+    s.tenant = &tenant;
+    if (k == 0 || kept.size() < k) {
+      kept.push_back(s);
+      // Once k candidates are in, keep them as a heap whose front is the
+      // one that ranks last: the bar a newcomer must clear.
+      if (kept.size() == k) {
+        std::make_heap(kept.begin(), kept.end(), ranks_before);
+      }
+    } else if (ranks_before(s, kept.front())) {
+      std::pop_heap(kept.begin(), kept.end(), ranks_before);
+      kept.back() = s;
+      std::push_heap(kept.begin(), kept.end(), ranks_before);
+    }
   }
+  // top_k == 0 sorts every scored tenant: the reference the heap must match.
+  std::sort(kept.begin(), kept.end(), ranks_before);
 
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankEntry& a, const RankEntry& b) {
-              if (a.severity != b.severity) return a.severity > b.severity;
-              return a.tenant < b.tenant;
-            });
-  if (query.top_k != 0 && ranked.size() > query.top_k) {
-    ranked.resize(query.top_k);
+  std::vector<RankEntry> ranked;
+  ranked.reserve(kept.size());
+  for (const Scored& s : kept) {
+    ranked.push_back(RankEntry{*s.tenant, s.severity, s.anomaly_rate,
+                               s.peak_score, s.samples, s.health});
   }
   return ranked;
 }

@@ -15,6 +15,13 @@
 // break by tenant name, so the ranking is a total order — byte-identical
 // across runs, schedulers, and worker counts.
 //
+// Cost: scoring is one pass over every tenant's tier-1 bins. With top_k =
+// k set, the ranking keeps a k-entry heap whose front is the current k-th
+// entry, compares each scored tenant against it by the store's own map key,
+// copies a name only for the survivors, and sorts those k at the end:
+// O(n log k) for n tenants. top_k = 0 sorts all n, O(n log n). Because the
+// order is total, both give the same first k entries, field for field.
+//
 // series() materializes one tenant's stream at any tier inside a window:
 // tier 0 returns raw points (skipping pages whose payload was evicted under
 // the byte cap — their summaries remain in tiers 1/2), tiers 1/2 return the
@@ -71,7 +78,8 @@ struct RankQuery {
 
 /// Evaluate every tenant stream over the window and return them ranked by
 /// severity (descending; ties by tenant name ascending). Tenants with no
-/// samples in the window are omitted.
+/// samples in the window are omitted. With top_k set the result is exactly
+/// the first top_k entries of the top_k = 0 ranking.
 std::vector<RankEntry> rank_tenants(const TelemetryStore& store,
                                     const RankQuery& query = {});
 

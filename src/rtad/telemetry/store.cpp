@@ -17,7 +17,12 @@ const TelemetryStore::Stream* TelemetryStore::stream(
 }
 
 void TelemetryStore::append(const std::string& tenant, const Sample& sample) {
-  Stream& stream = streams_[tenant];
+  if (last_stream_ == nullptr || *last_tenant_ != tenant) {
+    const auto it = streams_.try_emplace(tenant).first;
+    last_tenant_ = &it->first;
+    last_stream_ = &it->second;
+  }
+  Stream& stream = *last_stream_;
   if (stream.samples == 0) {
     stream.first_ps = sample.at_ps;
   } else if (sample.at_ps < stream.last_ps) {
@@ -28,6 +33,11 @@ void TelemetryStore::append(const std::string& tenant, const Sample& sample) {
   ++stream.samples;
   if (sample.flagged) ++stream.flagged;
   stream.health += sample.health;
+  // seal() moved the last page's buffer out; a stream that has filled one
+  // page gets its next page's buffer in one allocation.
+  if (stream.open.empty() && !stream.pages.empty()) {
+    stream.open.reserve(cfg_.page_samples);
+  }
   stream.open.push_back(sample);
 
   if (samples_ == 0) first_ps_ = sample.at_ps;

@@ -18,6 +18,16 @@
 // observable state, including the spill file, is byte-identical across
 // RTAD_SCHED, RTAD_JOBS, and RTAD_BACKEND.
 //
+// Ingest cost: append() remembers the stream it touched last (its map key
+// and its Stream, both stable in std::map nodes) and searches the map only
+// when the tenant changes, so a tenant's back-to-back samples cost one
+// string compare each. The first sample after a seal reserves a full page
+// for the open tail.
+//
+// A store is neither copyable nor movable: the eviction ring and the append
+// cache point into its own map, so a copy would point into the original.
+// Hold it in place, in a unique_ptr or in a shared_ptr.
+//
 // StoreConfig is plain data; serve::ServiceConfig::from_env fills it from
 // RTAD_TELEMETRY (spill path), RTAD_TELEMETRY_CAP_KB and
 // RTAD_TELEMETRY_PAGE.
@@ -61,6 +71,10 @@ class TelemetryStore {
   };
 
   explicit TelemetryStore(StoreConfig cfg = {});
+  TelemetryStore(const TelemetryStore&) = delete;
+  TelemetryStore& operator=(const TelemetryStore&) = delete;
+  TelemetryStore(TelemetryStore&&) = delete;
+  TelemetryStore& operator=(TelemetryStore&&) = delete;
 
   /// Append one sample to `tenant`'s stream (creates the stream on first
   /// use). Samples must arrive in non-decreasing at_ps per tenant — the
@@ -99,6 +113,10 @@ class TelemetryStore {
   /// Global seal order: (stream, page index) pairs awaiting eviction.
   /// Stream pointers are stable (std::map nodes); page vectors only grow.
   std::deque<std::pair<Stream*, std::size_t>> ring_;
+  /// The stream append() touched last, by its map key and value (null
+  /// before the first append).
+  const std::string* last_tenant_ = nullptr;
+  Stream* last_stream_ = nullptr;
   std::ofstream spill_;
   std::uint64_t samples_ = 0;
   std::uint64_t flagged_ = 0;

@@ -12,15 +12,19 @@
 //   3. The byte cap evicts in seal order, spills evicted pages to the
 //      RTAD_TELEMETRY file verbatim, and never loses summary coverage.
 //   4. rank_tenants() is a recency-weighted total order: repeatable,
-//      tie-broken by tenant name, and biased toward tenants flagging now.
+//      tie-broken by tenant name, and biased toward tenants flagging now;
+//      its top_k answer is exactly the prefix of the full ranking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <exception>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "rtad/telemetry/page.hpp"
@@ -29,6 +33,13 @@
 
 namespace rtad::telemetry {
 namespace {
+
+// The eviction ring and the append cache hold pointers into the store's own
+// stream map, so a copied or moved store would point into its source.
+static_assert(!std::is_copy_constructible_v<TelemetryStore> &&
+              !std::is_copy_assignable_v<TelemetryStore> &&
+              !std::is_move_constructible_v<TelemetryStore> &&
+              !std::is_move_assignable_v<TelemetryStore>);
 
 /// Independent FNV-1a so the test pins the published constants rather than
 /// round-tripping through the implementation under test.
@@ -274,6 +285,72 @@ TEST(TelemetryStore, RejectsOutOfOrderStreamClock) {
   EXPECT_NO_THROW(store.append("other", make_sample(1, 0.0)));
 }
 
+TEST(TelemetryStore, AppendCacheNeverMisroutesInterleavedTenants) {
+  const std::string spill = testing::TempDir() + "rtad_telemetry_cache.bin";
+
+  // Names sharing prefixes, interleaved so the cached stream changes on
+  // most appends and hits on the repeats. Each sample's score names its
+  // tenant, so a misrouted sample shows in the spilled payloads.
+  const std::vector<std::string> names = {"a", "ab", "b"};
+  const std::vector<std::size_t> pattern = {0, 1, 0, 0, 2, 1, 1};
+  StoreConfig cfg;
+  cfg.page_samples = 2;
+  cfg.cap_bytes = 1;  // every sealed page is evicted at once: spill = seals
+  cfg.spill_path = spill;
+
+  std::vector<std::uint64_t> count(names.size(), 0);
+  std::vector<std::pair<std::string, std::uint64_t>> seals;  // (tenant, seq)
+  {
+    TelemetryStore store(cfg);
+    auto append = [&](std::size_t t) {
+      const sim::Picoseconds at = 100 * (count[t] + 1);
+      store.append(names[t], make_sample(at, static_cast<double>(t)));
+      if (++count[t] % cfg.page_samples == 0) {
+        seals.emplace_back(names[t], count[t] / cfg.page_samples - 1);
+      }
+    };
+    for (int round = 0; round < 5; ++round) {
+      for (const std::size_t t : pattern) append(t);
+    }
+
+    // Out-of-order samples still throw right after a cache hit, and the
+    // rejected sample leaves the stream as it was.
+    append(0);
+    const sim::Picoseconds last = 100 * count[0];
+    EXPECT_THROW(store.append("a", make_sample(last - 1, 0.0)),
+                 TelemetryError);
+    EXPECT_EQ(store.stream("a")->last_ps, last);
+
+    ASSERT_EQ(store.tenants(), names.size());
+    for (std::size_t t = 0; t < names.size(); ++t) {
+      const auto* stream = store.stream(names[t]);
+      ASSERT_NE(stream, nullptr);
+      EXPECT_EQ(stream->samples, count[t]) << names[t];
+      EXPECT_EQ(stream->pages.size(), count[t] / cfg.page_samples);
+      EXPECT_EQ(stream->open.size(), count[t] % cfg.page_samples);
+      for (const Sample& s : stream->open) EXPECT_EQ(s.score, t);
+    }
+    EXPECT_EQ(store.pages_sealed(), seals.size());
+    EXPECT_EQ(store.pages_evicted(), seals.size());
+  }  // closes the spill stream
+
+  std::ifstream in(spill, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  const auto pages = parse_spill(bytes);
+  ASSERT_EQ(pages.size(), seals.size());
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    EXPECT_EQ(pages[i].tenant, seals[i].first) << "page " << i;
+    EXPECT_EQ(pages[i].seq, seals[i].second) << "page " << i;
+    const auto t = static_cast<double>(
+        std::find(names.begin(), names.end(), pages[i].tenant) -
+        names.begin());
+    ASSERT_EQ(pages[i].samples.size(), cfg.page_samples);
+    for (const Sample& s : pages[i].samples) EXPECT_EQ(s.score, t);
+  }
+}
+
 TEST(TelemetryStore, ByteCapEvictsInSealOrderAndSpillRoundTrips) {
   const std::string spill = testing::TempDir() + "rtad_telemetry_spill.bin";
 
@@ -406,6 +483,60 @@ TEST(TelemetryQuery, RankPrefersRecentFlagsAndBreaksTiesByName) {
   const auto head = rank_tenants(store, early);
   ASSERT_FALSE(head.empty());
   EXPECT_EQ(head[0].tenant, "warm");
+}
+
+TEST(TelemetryQuery, TopKIsExactlyThePrefixOfTheFullRanking) {
+  StoreConfig cfg;
+  cfg.page_samples = 4;
+  TelemetryStore store(cfg);
+
+  // 50 tenants: most never flag (severity 0, ordered by name alone), six
+  // share one flag pattern and so one non-zero severity bit for bit, and
+  // three flag on patterns of their own.
+  constexpr int kTenants = 50;
+  for (int i = 0; i < 14; ++i) {  // three sealed pages and an open tail
+    for (int t = 0; t < kTenants; ++t) {
+      bool flag = false;
+      if (t % 8 == 3) flag = i % 3 == 0;  // the six-way tie
+      if (t == 10 || t == 20 || t == 30) flag = i >= 12 - t / 10;
+      const std::string name = "t" + std::to_string((t * 37) % kTenants);
+      store.append(name, make_sample(100 * (i + 1), 0.01 * t, flag));
+    }
+  }
+
+  auto expect_bitwise_equal = [](double a, double b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+  };
+  RankQuery recent;
+  recent.t0 = 650;
+  for (const RankQuery& base : {RankQuery{}, recent}) {
+    const auto full = rank_tenants(store, base);
+    const std::size_t n = full.size();
+    ASSERT_EQ(n, static_cast<std::size_t>(kTenants));
+    // Find the six-way tie among the flaggers; k = tie + 3 cuts inside it.
+    std::size_t tie = 0;
+    while (tie + 1 < n && full[tie].severity != full[tie + 1].severity) {
+      ++tie;
+    }
+    ASSERT_GT(full[tie].severity, 0.0);
+    ASSERT_EQ(full[tie].severity, full[tie + 5].severity);
+    ASSERT_NE(full[tie + 5].severity, full[tie + 6].severity);
+    for (const std::size_t k : {std::size_t{1}, tie + 3, n - 1, n, n + 1}) {
+      RankQuery query = base;
+      query.top_k = k;
+      const auto top = rank_tenants(store, query);
+      ASSERT_EQ(top.size(), std::min(k, n)) << "k=" << k;
+      for (std::size_t i = 0; i < top.size(); ++i) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " i=" + std::to_string(i));
+        EXPECT_EQ(top[i].tenant, full[i].tenant);
+        expect_bitwise_equal(top[i].severity, full[i].severity);
+        expect_bitwise_equal(top[i].anomaly_rate, full[i].anomaly_rate);
+        expect_bitwise_equal(top[i].peak_score, full[i].peak_score);
+        EXPECT_EQ(top[i].samples, full[i].samples);
+        EXPECT_EQ(top[i].health, full[i].health);
+      }
+    }
+  }
 }
 
 TEST(TelemetryQuery, ExplicitHalfLifeReplacesTheSpanQuarterDefault) {

@@ -33,6 +33,16 @@
 #   * groups_per_branch    Simulator::fire_group_at calls per branch;
 #   * host_ticks_per_branch  HostCpu::tick calls per branch.
 #
+# What a -pg build of dynamically linked code cannot see: gprof's histogram
+# covers only the executable's own text, so time in shared libraries (libc's
+# memcmp and malloc, libm's log and exp, libstdc++'s red-black-tree walks)
+# and in libc's mcount call-count hook is never sampled, under any layer or
+# as unattributed. The JSON therefore also reports the run's user CPU
+# seconds (cpu_s, all threads, set-up included) and coverage = sampled_s /
+# cpu_s, the share of that CPU the shares describe: 24 % for fleet_storm
+# seed 3 (13.8 of 57.5 s) and 37 % for telemetry_rank seed 3 on a 4-vCPU
+# shared x86-64 host. libc's PLT stubs do show, as "_init" in unattributed.
+#
 # The last stdout line is one JSON object; the flat profile and the
 # workload's own result line stay in the run directory printed on stderr.
 # Nothing under perfbench/ is written.
@@ -70,18 +80,21 @@ out="${build}/profile-${workload}-${seed}"
 rm -rf "${out}"
 mkdir -p "${out}"
 cd "${out}"
-"${build}/rtad_perfbench" --workload "${workload}" --seed "${seed}" \
-  --seconds "${RUN_SECONDS}" --trace 0 --jobs 1 > result.json
+TIMEFORMAT=%3U
+{ time "${build}/rtad_perfbench" --workload "${workload}" --seed "${seed}" \
+  --seconds "${RUN_SECONDS}" --trace 0 --jobs 1 > result.json 2>&3; } \
+  3>&2 2> cpu_s.txt
 gprof -b -p "${build}/rtad_perfbench" gmon.out > flat.txt
 echo "profile: run directory ${out}" >&2
 
 python3 - flat.txt "${workload}" "${seed}" "${RUN_SECONDS}" \
-  "${MAX_UNATTRIBUTED}" <<'PY'
+  "${MAX_UNATTRIBUTED}" "$(cat cpu_s.txt)" <<'PY'
 import json
 import re
 import sys
 
-flat, workload, seed, seconds, max_unattributed = sys.argv[1:]
+flat, workload, seed, seconds, max_unattributed, cpu_s = sys.argv[1:]
+cpu_s = float(cpu_s)
 # time%, cumulative s, self s, [calls, self/call, total/call], name
 ROW = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+"
                  r"(?:(\d+)\s+[\d.]+\s+[\d.]+\s+)?(\S.*)$")
@@ -132,8 +145,12 @@ print(f"{'layer':16} {'self_s':>9} {'share':>7}", file=sys.stderr)
 for k, share in shares.items():
     print(f"{k:16} {self_s[k]:9.2f} {share:7.1%}", file=sys.stderr)
 
+print(f"sampled {total:.2f} s of {cpu_s:.2f} s user CPU "
+      f"(coverage {total / cpu_s:.1%})", file=sys.stderr)
+
 result = {"workload": workload, "seed": int(seed), "seconds": int(seconds),
-          "sampled_s": round(total, 2),
+          "sampled_s": round(total, 2), "cpu_s": round(cpu_s, 2),
+          "coverage": round(total / cpu_s, 3),
           "shares": {k: round(v, 4) for k, v in shares.items()}}
 branches = calls.get("rtad::coresight::TraceSource::submit", 0)
 if branches:
