@@ -13,7 +13,6 @@ using core::blob::Writer;
 using Reader = core::blob::Reader<TelemetryError>;
 
 constexpr std::size_t kSampleBytes = 8 + 8 + 1 + 4;  ///< at/score/flag/health
-constexpr std::size_t kBinBytes = 8 * 8;  ///< 6 u64/f64 + flagged + health
 
 }  // namespace
 
@@ -49,13 +48,11 @@ void SummaryBin::fold(const SummaryBin& b) {
   health += b.health;
 }
 
-std::size_t encoded_size(const Page& page) noexcept {
-  const std::size_t count =
-      page.tier == 0 ? page.samples.size() : page.bins.size();
-  const std::size_t entry = page.tier == 0 ? kSampleBytes : kBinBytes;
+std::size_t encoded_size(std::size_t tenant_bytes,
+                         std::size_t samples) noexcept {
   // magic + tier + total_bytes + tenant(len + bytes) + seq + count +
   // payload + digest.
-  return 8 + 1 + 4 + (4 + page.tenant.size()) + 8 + 4 + count * entry + 8;
+  return 8 + 1 + 4 + (4 + tenant_bytes) + 8 + 4 + samples * kSampleBytes + 8;
 }
 
 std::vector<std::uint8_t> Page::serialize() const {
@@ -63,31 +60,17 @@ std::vector<std::uint8_t> Page::serialize() const {
   for (std::size_t i = 0; i < 8; ++i) {
     w.u8(static_cast<std::uint8_t>(kPageMagic[i]));
   }
-  w.u8(tier);
+  w.u8(0);  // tier
   const std::size_t total_at = w.size();
   w.u32(0);  // total_bytes, patched below
   w.str(tenant);
   w.u64(seq);
-  if (tier == 0) {
-    w.u32(static_cast<std::uint32_t>(samples.size()));
-    for (const Sample& s : samples) {
-      w.u64(s.at_ps);
-      w.f64(s.score);
-      w.u8(s.flagged ? 1 : 0);
-      w.u32(s.health);
-    }
-  } else {
-    w.u32(static_cast<std::uint32_t>(bins.size()));
-    for (const SummaryBin& b : bins) {
-      w.u64(b.first_ps);
-      w.u64(b.last_ps);
-      w.u64(b.count);
-      w.f64(b.sum_score);
-      w.f64(b.min_score);
-      w.f64(b.max_score);
-      w.u64(b.flagged);
-      w.u64(b.health);
-    }
+  w.u32(static_cast<std::uint32_t>(samples.size()));
+  for (const Sample& s : samples) {
+    w.u64(s.at_ps);
+    w.f64(s.score);
+    w.u8(s.flagged ? 1 : 0);
+    w.u32(s.health);
   }
   w.patch_u32(total_at, static_cast<std::uint32_t>(w.size() + 8));
   return std::move(w).finish();
@@ -110,51 +93,34 @@ Page Page::parse(const std::uint8_t* data, std::size_t size) {
     }
   }
 
-  Page page;
-  page.tier = r.u8();
-  if (page.tier > 2) {
+  if (const std::uint8_t tier = r.u8(); tier != 0) {
     std::string what = "telemetry::Page: tier ";
-    what += std::to_string(page.tier);
-    throw TelemetryError(what + " is not 0, 1, or 2");
+    what += std::to_string(tier);
+    throw TelemetryError(what + " is not 0");
   }
   const std::uint32_t total = r.u32();
   if (total != size) {
     throw TelemetryError("telemetry::Page: length mismatch");
   }
+  Page page;
   page.tenant = r.str();
   page.seq = r.u64();
   const std::uint32_t count = r.u32();
   // Bound count by the bytes actually present before reserving: a forged
   // count must be a named error, not a multi-gigabyte allocation.
-  if (count > r.remaining() / (page.tier == 0 ? kSampleBytes : kBinBytes)) {
+  if (count > r.remaining() / kSampleBytes) {
     std::string what = "telemetry::Page: count ";
     what += std::to_string(count);
     throw TelemetryError(what + " exceeds the payload");
   }
-  if (page.tier == 0) {
-    page.samples.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      Sample s;
-      s.at_ps = r.u64();
-      s.score = r.f64();
-      s.flagged = r.u8() != 0;
-      s.health = r.u32();
-      page.samples.push_back(s);
-    }
-  } else {
-    page.bins.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      SummaryBin b;
-      b.first_ps = r.u64();
-      b.last_ps = r.u64();
-      b.count = r.u64();
-      b.sum_score = r.f64();
-      b.min_score = r.f64();
-      b.max_score = r.f64();
-      b.flagged = r.u64();
-      b.health = r.u64();
-      page.bins.push_back(b);
-    }
+  page.samples.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Sample s;
+    s.at_ps = r.u64();
+    s.score = r.f64();
+    s.flagged = r.u8() != 0;
+    s.health = r.u32();
+    page.samples.push_back(s);
   }
   if (r.remaining() != 0) {
     throw TelemetryError("telemetry::Page: trailing bytes");

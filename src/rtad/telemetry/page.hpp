@@ -1,29 +1,32 @@
 // Byte-stable page format for the fleet telemetry store.
 //
-// Telemetry keeps one stream per tenant; a stream is a run of pages. A
-// tier-0 page is a fixed-capacity vector of raw Samples (one per shard
-// quantum boundary); when it fills, the store seals it and folds it into a
-// tier-1 SummaryBin (min/max/sum/count/flagged/health over the page's
-// window), and every `fanout` tier-1 bins fold into one tier-2 bin — the
+// Telemetry keeps one stream per tenant; a stream is a run of tier-0 pages.
+// A page is a fixed-capacity vector of raw Samples (one per shard quantum
+// boundary); when it fills, the store seals it and folds it into a tier-1
+// SummaryBin (min/max/sum/count/flagged/health over the page's window), and
+// every `fanout` tier-1 bins fold into one tier-2 bin — the
 // netdata-dbengine tiering: raw points age out, summaries stay resident.
+// Only tier-0 pages are ever written (to the spill file, on eviction);
+// summary bins never leave memory.
 //
 // Pages serialize to a self-delimiting byte format (the RTAD_TELEMETRY
 // spill file is a plain concatenation of pages):
 //
 //   magic "RTADTEL1" (8)        format + version in one token
-//   u8  tier                    0 = raw samples, 1/2 = summary bins
+//   u8  tier                    always 0 (raw samples)
 //   u32 total_bytes             whole page including the digest
 //   str tenant                  u32 length + bytes
-//   u64 seq                     per-(tenant, tier) page number, from 0
-//   u32 count                   samples (tier 0) or bins (tier >= 1)
-//   payload                     21 bytes/sample or 64 bytes/bin
+//   u64 seq                     per-tenant page number, from 0
+//   u32 count                   samples
+//   payload                     21 bytes/sample
 //   u64 digest                  FNV-1a over every preceding byte
 //
 // All integers little-endian, doubles as IEEE-754 bit patterns — the same
 // wire discipline as core::SessionCheckpoint, so a page is byte-identical
 // across schedulers, worker counts, backends, and hosts. parse() verifies
 // the digest before reading a field and rejects truncation, bit flips, bad
-// magic, length mismatches, and trailing bytes with a TelemetryError.
+// magic, a non-zero tier, length mismatches, and trailing bytes with a
+// TelemetryError.
 #pragma once
 
 #include <cstddef>
@@ -80,16 +83,13 @@ struct SummaryBin {
   void fold(const SummaryBin& b);
 };
 
-/// One page of a tenant stream. Tier 0 carries `samples`; tiers >= 1 carry
-/// `bins`. A sealed tier-0 page whose payload was evicted under the byte
-/// cap keeps its identity (tenant/tier/seq) with an empty sample vector —
-/// its tier-1 summary stays queryable.
+/// One sealed tier-0 page of a tenant stream: its identity (tenant, seq)
+/// and its samples. The store keeps only the payloads and builds a Page
+/// when it spills one.
 struct Page {
   std::string tenant;
-  std::uint8_t tier = 0;
   std::uint64_t seq = 0;
   std::vector<Sample> samples;
-  std::vector<SummaryBin> bins;
 
   std::vector<std::uint8_t> serialize() const;
   static Page parse(const std::uint8_t* data, std::size_t size);
@@ -98,8 +98,14 @@ struct Page {
   }
 };
 
-/// Exact serialized size in bytes without encoding (byte-cap accounting).
-std::size_t encoded_size(const Page& page) noexcept;
+/// Exact serialized size in bytes of a page of `samples` samples for a
+/// tenant name of `tenant_bytes` bytes, without encoding (byte-cap
+/// accounting).
+std::size_t encoded_size(std::size_t tenant_bytes,
+                         std::size_t samples) noexcept;
+inline std::size_t encoded_size(const Page& page) noexcept {
+  return encoded_size(page.tenant.size(), page.samples.size());
+}
 
 /// Split a spill file (back-to-back serialized pages) into pages, verifying
 /// each one. Throws TelemetryError on any malformed page or dangling tail.

@@ -21,8 +21,8 @@ SummaryBin tail_bin(const TelemetryStore::Stream& stream) {
   return bin;
 }
 
-/// A tenant's RankEntry fields with the name left at the store's map key;
-/// only tenants that make the returned ranking get their name copied.
+/// A tenant's RankEntry fields with the name left in its stream; only
+/// tenants that make the returned ranking get their name copied.
 struct Scored {
   const std::string* tenant = nullptr;
   double severity = 0.0;
@@ -91,9 +91,9 @@ Series series(const TelemetryStore& store, const std::string& tenant,
       if (s.at_ps < t0 || s.at_ps > t1) return;
       out.points.push_back(SeriesPoint{s.at_ps, s.score, s.flagged, s.health});
     };
-    for (std::size_t p = 0; p < stream->pages.size(); ++p) {
-      if (stream->evicted[p]) continue;  // payload gone; summary lives on
-      for (const Sample& s : stream->pages[p].samples) clip(s);
+    // The first `evicted` payloads are gone; their summaries live on.
+    for (std::size_t p = stream->evicted; p < stream->pages.size(); ++p) {
+      for (const Sample& s : stream->pages[p]) clip(s);
     }
     for (const Sample& s : stream->open) clip(s);
     return out;
@@ -128,10 +128,10 @@ std::vector<RankEntry> rank_tenants(const TelemetryStore& store,
   const std::size_t n = store.tenants();
   std::vector<Scored> kept;
   kept.reserve(k == 0 ? n : std::min(k, n));
-  for (const auto& [tenant, stream] : store.streams()) {
+  for (const TelemetryStore::Stream& stream : store.streams()) {
     Scored s;
     if (!score_stream(stream, query, window_end, half_life, s)) continue;
-    s.tenant = &tenant;
+    s.tenant = &stream.tenant;
     if (k == 0 || kept.size() < k) {
       kept.push_back(s);
       // Once k candidates are in, keep them as a heap whose front is the

@@ -17,7 +17,7 @@
 //
 // Cost: scoring is one pass over every tenant's tier-1 bins. With top_k =
 // k set, the ranking keeps a k-entry heap whose front is the current k-th
-// entry, compares each scored tenant against it by the store's own map key,
+// entry, compares each scored tenant against it by its stream's own name,
 // copies a name only for the survivors, and sorts those k at the end:
 // O(n log k) for n tenants. top_k = 0 sorts all n, O(n log n). Because the
 // order is total, both give the same first k entries, field for field.

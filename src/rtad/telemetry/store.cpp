@@ -12,17 +12,18 @@ TelemetryStore::TelemetryStore(StoreConfig cfg) : cfg_(std::move(cfg)) {
 
 const TelemetryStore::Stream* TelemetryStore::stream(
     const std::string& tenant) const {
-  const auto it = streams_.find(tenant);
-  return it == streams_.end() ? nullptr : &it->second;
+  const auto it = ids_.find(tenant);
+  return it == ids_.end() ? nullptr : &streams_[it->second];
 }
 
 void TelemetryStore::append(const std::string& tenant, const Sample& sample) {
-  if (last_stream_ == nullptr || *last_tenant_ != tenant) {
-    const auto it = streams_.try_emplace(tenant).first;
-    last_tenant_ = &it->first;
-    last_stream_ = &it->second;
+  if (streams_.empty() || streams_[last_].tenant != tenant) {
+    const auto [it, added] =
+        ids_.try_emplace(tenant, static_cast<std::uint32_t>(streams_.size()));
+    if (added) streams_.emplace_back().tenant = tenant;
+    last_ = it->second;
   }
-  Stream& stream = *last_stream_;
+  Stream& stream = streams_[last_];
   if (stream.samples == 0) {
     stream.first_ps = sample.at_ps;
   } else if (sample.at_ps < stream.last_ps) {
@@ -46,19 +47,13 @@ void TelemetryStore::append(const std::string& tenant, const Sample& sample) {
   ++samples_;
   if (sample.flagged) ++flagged_;
 
-  if (stream.open.size() >= cfg_.page_samples) seal(tenant, stream);
+  if (stream.open.size() >= cfg_.page_samples) seal(last_);
 }
 
-void TelemetryStore::seal(const std::string& tenant, Stream& stream) {
-  Page page;
-  page.tenant = tenant;
-  page.tier = 0;
-  page.seq = stream.next_seq++;
-  page.samples = std::move(stream.open);
-  stream.open.clear();
-
+void TelemetryStore::seal(std::uint32_t id) {
+  Stream& stream = streams_[id];
   SummaryBin bin;
-  for (const Sample& s : page.samples) bin.fold(s);
+  for (const Sample& s : stream.open) bin.fold(s);
   stream.tier1.push_back(bin);
   // Tier-2 rollup: whenever a full fanout of tier-1 bins exists past the
   // last rollup, fold them into one coarser bin.
@@ -71,11 +66,10 @@ void TelemetryStore::seal(const std::string& tenant, Stream& stream) {
     stream.tier2.push_back(coarse);
   }
 
-  resident_bytes_ += encoded_size(page);
+  resident_bytes_ += encoded_size(stream.tenant.size(), stream.open.size());
   resident_bytes_hwm_ = std::max(resident_bytes_hwm_, resident_bytes_);
-  stream.pages.push_back(std::move(page));
-  stream.evicted.push_back(false);
-  ring_.emplace_back(&stream, stream.pages.size() - 1);
+  stream.pages.push_back(std::exchange(stream.open, {}));
+  ring_.push_back(id);
   ++pages_sealed_;
 
   if (cfg_.cap_bytes != 0) evict_until_capped();
@@ -83,22 +77,22 @@ void TelemetryStore::seal(const std::string& tenant, Stream& stream) {
 
 void TelemetryStore::evict_until_capped() {
   while (resident_bytes_ > cfg_.cap_bytes && !ring_.empty()) {
-    auto [victim, index] = ring_.front();
+    Stream& victim = streams_[ring_.front()];
     ring_.pop_front();
-    Page& page = victim->pages[index];
-    resident_bytes_ -= encoded_size(page);
+    // The victim's oldest resident page: the ring is FIFO in seal order.
+    const std::uint64_t seq = victim.evicted++;
+    std::vector<Sample> samples = std::exchange(victim.pages[seq], {});
+    resident_bytes_ -= encoded_size(victim.tenant.size(), samples.size());
     if (!cfg_.spill_path.empty()) {
       if (!spill_.is_open()) {
         spill_.open(cfg_.spill_path, std::ios::binary | std::ios::trunc);
       }
+      const Page page{victim.tenant, seq, std::move(samples)};
       const std::vector<std::uint8_t> bytes = page.serialize();
       spill_.write(reinterpret_cast<const char*>(bytes.data()),
                    static_cast<std::streamsize>(bytes.size()));
       ++pages_spilled_;
     }
-    page.samples.clear();
-    page.samples.shrink_to_fit();
-    victim->evicted[index] = true;
     ++pages_evicted_;
   }
 }

@@ -6,27 +6,34 @@
 // and every `fanout` tier-1 bins fold into one tier-2 bin. Summaries are
 // tiny and stay resident forever; sealed tier-0 payloads are what the byte
 // cap governs. When resident sealed bytes exceed `cap_bytes` the oldest
-// sealed page (global seal order — FIFO, the ring) is evicted: its
-// serialized bytes are appended to the `spill_path` file if one is
-// configured, then the in-memory payload is dropped. Evicted pages keep
-// their identity and their tier-1 summary, so ranked queries never lose
-// coverage — only raw-point extraction does.
+// sealed page (global seal order — FIFO, the ring) is evicted: it is
+// serialized and appended to the `spill_path` file if one is configured,
+// then its in-memory payload is dropped. Evicted pages keep their index
+// and their tier-1 summary, so ranked queries never lose coverage — only
+// raw-point extraction does.
+//
+// Layout: streams are a vector in first-append order, so a stream id is
+// its index; one ordered name index maps tenants to ids. The ring holds
+// one stream id per sealed page. It is FIFO in seal order and a stream
+// seals its pages in index order, so each stream's evicted pages are a
+// prefix of its pages: one count says which payloads are gone. A Page is
+// built only to spill one.
 //
 // Determinism: append() is single-writer (the Service ingests the merged
-// per-shard record list in canonical order), streams iterate in tenant-name
-// order (std::map), and eviction follows seal order — so the store's entire
-// observable state, including the spill file, is byte-identical across
-// RTAD_SCHED, RTAD_JOBS, and RTAD_BACKEND.
+// per-shard record list in canonical order) and eviction follows seal
+// order, so the store's entire observable state, including the spill file,
+// is byte-identical across RTAD_SCHED, RTAD_JOBS, and RTAD_BACKEND. No
+// output depends on the streams' iteration order: rank_tenants() sorts by
+// a total order, and the serve document writes only aggregates and the
+// ranking.
 //
-// Ingest cost: append() remembers the stream it touched last (its map key
-// and its Stream, both stable in std::map nodes) and searches the map only
-// when the tenant changes, so a tenant's back-to-back samples cost one
-// string compare each. The first sample after a seal reserves a full page
-// for the open tail.
+// Ingest cost: append() remembers the id of the stream it touched last and
+// searches the name index only when the tenant changes, so a tenant's
+// back-to-back samples cost one string compare each. The first sample
+// after a seal reserves a full page for the open tail.
 //
-// A store is neither copyable nor movable: the eviction ring and the append
-// cache point into its own map, so a copy would point into the original.
-// Hold it in place, in a unique_ptr or in a shared_ptr.
+// The store holds no pointer into its own containers, so it is movable
+// (not copyable: it owns the spill file stream).
 //
 // StoreConfig is plain data; serve::ServiceConfig::from_env fills it from
 // RTAD_TELEMETRY (spill path), RTAD_TELEMETRY_CAP_KB and
@@ -54,15 +61,17 @@ struct StoreConfig {
 
 class TelemetryStore {
  public:
-  /// One tenant's stream: sealed tier-0 pages (seal order), the open tier-0
-  /// tail, and the resident summary tiers.
+  /// One tenant's stream: sealed tier-0 payloads (seal order), the open
+  /// tier-0 tail, and the resident summary tiers.
   struct Stream {
-    std::vector<Page> pages;        ///< sealed tier-0 pages, oldest first
-    std::vector<bool> evicted;      ///< parallel to pages: payload dropped
+    std::string tenant;  ///< the stream's tenant name
+    /// Sealed tier-0 payloads, oldest first; page i has seq i. The first
+    /// `evicted` are empty: their payload was dropped under the byte cap.
+    std::vector<std::vector<Sample>> pages;
+    std::uint64_t evicted = 0;  ///< leading pages whose payload is gone
     std::vector<Sample> open;       ///< open tier-0 tail (not yet a page)
     std::vector<SummaryBin> tier1;  ///< one bin per sealed page
     std::vector<SummaryBin> tier2;  ///< one bin per `fanout` tier-1 bins
-    std::uint64_t next_seq = 0;     ///< next tier-0 page number
     std::uint64_t samples = 0;      ///< total samples ever appended
     std::uint64_t flagged = 0;
     std::uint64_t health = 0;
@@ -71,20 +80,14 @@ class TelemetryStore {
   };
 
   explicit TelemetryStore(StoreConfig cfg = {});
-  TelemetryStore(const TelemetryStore&) = delete;
-  TelemetryStore& operator=(const TelemetryStore&) = delete;
-  TelemetryStore(TelemetryStore&&) = delete;
-  TelemetryStore& operator=(TelemetryStore&&) = delete;
 
   /// Append one sample to `tenant`'s stream (creates the stream on first
   /// use). Samples must arrive in non-decreasing at_ps per tenant — the
   /// Service's canonical merge guarantees it; violations throw.
   void append(const std::string& tenant, const Sample& sample);
 
-  /// Tenant-name-ordered stream map (the query engine's iteration order).
-  const std::map<std::string, Stream>& streams() const noexcept {
-    return streams_;
-  }
+  /// Every stream, in first-append order.
+  const std::vector<Stream>& streams() const noexcept { return streams_; }
   const Stream* stream(const std::string& tenant) const;
 
   const StoreConfig& config() const noexcept { return cfg_; }
@@ -105,18 +108,15 @@ class TelemetryStore {
   sim::Picoseconds last_ps() const noexcept { return last_ps_; }
 
  private:
-  void seal(const std::string& tenant, Stream& stream);
+  void seal(std::uint32_t id);
   void evict_until_capped();
 
   StoreConfig cfg_;
-  std::map<std::string, Stream> streams_;
-  /// Global seal order: (stream, page index) pairs awaiting eviction.
-  /// Stream pointers are stable (std::map nodes); page vectors only grow.
-  std::deque<std::pair<Stream*, std::size_t>> ring_;
-  /// The stream append() touched last, by its map key and value (null
-  /// before the first append).
-  const std::string* last_tenant_ = nullptr;
-  Stream* last_stream_ = nullptr;
+  std::vector<Stream> streams_;
+  std::map<std::string, std::uint32_t> ids_;  ///< tenant name -> stream id
+  /// Global seal order: one stream id per sealed page awaiting eviction.
+  std::deque<std::uint32_t> ring_;
+  std::uint32_t last_ = 0;  ///< id append() touched last (once non-empty)
   std::ofstream spill_;
   std::uint64_t samples_ = 0;
   std::uint64_t flagged_ = 0;

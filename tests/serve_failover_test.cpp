@@ -542,27 +542,28 @@ TEST(ServiceFailover, StormKeepsTenantTelemetryStreamsIntact) {
   EXPECT_EQ(storm.telemetry->tenants(), clean.telemetry->tenants());
   EXPECT_EQ(storm.telemetry->samples(), clean.telemetry->samples());
   EXPECT_EQ(storm.telemetry->flagged(), clean.telemetry->flagged());
-  for (const auto& [tenant, stream] : clean.telemetry->streams()) {
-    const auto want = telemetry::series(*clean.telemetry, tenant, 0, 0,
-                                        ~sim::Picoseconds{0});
-    const auto got = telemetry::series(*storm.telemetry, tenant, 0, 0,
+  for (const auto& stream : clean.telemetry->streams()) {
+    const auto want = telemetry::series(*clean.telemetry, stream.tenant, 0,
+                                        0, ~sim::Picoseconds{0});
+    const auto got = telemetry::series(*storm.telemetry, stream.tenant, 0, 0,
                                        ~sim::Picoseconds{0});
-    ASSERT_EQ(got.points.size(), want.points.size()) << tenant;
+    ASSERT_EQ(got.points.size(), want.points.size()) << stream.tenant;
     for (std::size_t i = 0; i < want.points.size(); ++i) {
-      EXPECT_EQ(got.points[i].at_ps, want.points[i].at_ps) << tenant;
-      EXPECT_EQ(got.points[i].score, want.points[i].score) << tenant;
-      EXPECT_EQ(got.points[i].flagged, want.points[i].flagged) << tenant;
+      EXPECT_EQ(got.points[i].at_ps, want.points[i].at_ps) << stream.tenant;
+      EXPECT_EQ(got.points[i].score, want.points[i].score) << stream.tenant;
+      EXPECT_EQ(got.points[i].flagged, want.points[i].flagged)
+          << stream.tenant;
     }
   }
 
   // The restore markers land in the storm streams only.
   std::uint64_t storm_health = 0;
-  for (const auto& [tenant, stream] : storm.telemetry->streams()) {
+  for (const auto& stream : storm.telemetry->streams()) {
     storm_health += stream.health;
   }
   EXPECT_GE(storm_health, 0u);
-  for (const auto& [tenant, stream] : clean.telemetry->streams()) {
-    EXPECT_EQ(stream.health, 0u) << tenant;
+  for (const auto& stream : clean.telemetry->streams()) {
+    EXPECT_EQ(stream.health, 0u) << stream.tenant;
   }
 }
 

@@ -208,14 +208,15 @@ TEST(Service, TelemetrySectionIsOrderedAndJobsInvariant) {
   // tickets keep both samples).
   EXPECT_EQ(tel.tenants(), 4u);
   EXPECT_GT(tel.samples(), 0u);
-  for (const auto& [tenant, stream] : tel.streams()) {
+  for (const auto& stream : tel.streams()) {
     const auto series =
-        telemetry::series(tel, tenant, 0, 0, ~sim::Picoseconds{0});
-    ASSERT_FALSE(series.points.empty()) << tenant;
+        telemetry::series(tel, stream.tenant, 0, 0, ~sim::Picoseconds{0});
+    ASSERT_FALSE(series.points.empty()) << stream.tenant;
     for (std::size_t i = 1; i < series.points.size(); ++i) {
-      EXPECT_GE(series.points[i].at_ps, series.points[i - 1].at_ps) << tenant;
+      EXPECT_GE(series.points[i].at_ps, series.points[i - 1].at_ps)
+          << stream.tenant;
     }
-    EXPECT_EQ(stream.samples, series.points.size()) << tenant;
+    EXPECT_EQ(stream.samples, series.points.size()) << stream.tenant;
   }
 
   // The ranked query is a total order over the store, and the whole
