@@ -1,13 +1,9 @@
 // Byte-stable page format for the fleet telemetry store.
 //
-// Telemetry keeps one stream per tenant; a stream is a run of tier-0 pages.
-// A page is a fixed-capacity vector of raw Samples (one per shard quantum
-// boundary); when it fills, the store seals it and folds it into a tier-1
-// SummaryBin (min/max/sum/count/flagged/health over the page's window), and
-// every `fanout` tier-1 bins fold into one tier-2 bin — the
-// netdata-dbengine tiering: raw points age out, summaries stay resident.
-// Only tier-0 pages are ever written (to the spill file, on eviction);
-// summary bins never leave memory.
+// A page is one sealed run of raw Samples of a tenant's stream (one per
+// shard quantum boundary); the store (store.hpp) folds each into a tier-1
+// SummaryBin. Only tier-0 pages are ever written (to the spill file, on
+// eviction); summary bins never leave memory.
 //
 // Pages serialize to a self-delimiting byte format (the RTAD_TELEMETRY
 // spill file is a plain concatenation of pages):
@@ -74,18 +70,12 @@ struct SummaryBin {
   std::uint64_t flagged = 0;
   std::uint64_t health = 0;
 
-  double anomaly_rate() const noexcept {
-    return count == 0 ? 0.0
-                      : static_cast<double>(flagged) /
-                            static_cast<double>(count);
-  }
   void fold(const Sample& s);
   void fold(const SummaryBin& b);
 };
 
 /// One sealed tier-0 page of a tenant stream: its identity (tenant, seq)
-/// and its samples. The store keeps only the payloads and builds a Page
-/// when it spills one.
+/// and its samples. The store builds one only to spill it.
 struct Page {
   std::string tenant;
   std::uint64_t seq = 0;

@@ -14,15 +14,16 @@ bool overlaps(const SummaryBin& bin, sim::Picoseconds t0,
 }
 
 /// The open tier-0 tail folded into one synthetic bin: together with the
-/// tier-1 bins it covers every sample of the stream exactly once.
-SummaryBin tail_bin(const TelemetryStore::Stream& stream) {
+/// stream's tier-1 bins it covers every sample of the stream exactly once.
+SummaryBin tail_bin(const TelemetryStore& store,
+                    const TelemetryStore::Stream& stream) {
   SummaryBin bin;
-  for (const Sample& s : stream.open) bin.fold(s);
+  for (const Sample& s : store.tail(stream)) bin.fold(s);
   return bin;
 }
 
-/// A tenant's RankEntry fields with the name left in its stream; only
-/// tenants that make the returned ranking get their name copied.
+/// A tenant's RankEntry fields, its name left in its stream (copied only if
+/// ranked). While bins fold, severity sums w*flagged, anomaly_rate flagged.
 struct Scored {
   const std::string* tenant = nullptr;
   double severity = 0.0;
@@ -30,6 +31,7 @@ struct Scored {
   double peak_score = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t health = 0;
+  double weighted_count = 0.0;
 };
 
 /// The rank order: severity descending, then tenant name ascending. Names
@@ -39,40 +41,6 @@ bool ranks_before(const Scored& a, const Scored& b) {
   return *a.tenant < *b.tenant;
 }
 
-/// Score one stream's effective tier-1 view over the query window; false
-/// when no bin overlaps it.
-bool score_stream(const TelemetryStore::Stream& stream, const RankQuery& query,
-                  sim::Picoseconds window_end, sim::Picoseconds half_life,
-                  Scored& out) {
-  double weighted_flagged = 0.0;
-  double weighted_count = 0.0;
-  bool any = false;
-  auto score_bin = [&](const SummaryBin& bin) {
-    if (!overlaps(bin, query.t0, query.t1)) return;
-    const double age = bin.last_ps >= window_end
-                           ? 0.0
-                           : static_cast<double>(window_end - bin.last_ps);
-    const double w = std::exp2(-age / static_cast<double>(half_life));
-    weighted_flagged += w * static_cast<double>(bin.flagged);
-    weighted_count += w * static_cast<double>(bin.count);
-    out.samples += bin.count;
-    out.health += bin.health;
-    out.peak_score = any ? std::max(out.peak_score, bin.max_score)
-                         : bin.max_score;
-    any = true;
-    out.anomaly_rate += static_cast<double>(bin.flagged);
-  };
-  for (const SummaryBin& bin : stream.tier1) score_bin(bin);
-  score_bin(tail_bin(stream));
-  if (!any) return false;
-  out.severity =
-      weighted_count > 0.0 ? weighted_flagged / weighted_count : 0.0;
-  out.anomaly_rate = out.samples == 0 ? 0.0
-                                      : out.anomaly_rate /
-                                            static_cast<double>(out.samples);
-  return true;
-}
-
 }  // namespace
 
 Series series(const TelemetryStore& store, const std::string& tenant,
@@ -80,34 +48,39 @@ Series series(const TelemetryStore& store, const std::string& tenant,
   if (tier > 2) {
     throw TelemetryError("telemetry::series: tier must be 0, 1, or 2");
   }
-  Series out;
-  out.tenant = tenant;
-  out.tier = tier;
+  Series out{tenant, tier, {}, {}};
   const TelemetryStore::Stream* stream = store.stream(tenant);
   if (stream == nullptr) return out;
+  const auto id = static_cast<std::uint32_t>(stream - store.streams().data());
 
   if (tier == 0) {
     auto clip = [&](const Sample& s) {
       if (s.at_ps < t0 || s.at_ps > t1) return;
       out.points.push_back(SeriesPoint{s.at_ps, s.score, s.flagged, s.health});
     };
-    // The first `evicted` payloads are gone; their summaries live on.
-    for (std::size_t p = stream->evicted; p < stream->pages.size(); ++p) {
-      for (const Sample& s : stream->pages[p]) clip(s);
+    // Evicted payloads are gone; their summaries live on.
+    for (auto i = store.pages_evicted(); i < store.pages_sealed(); ++i) {
+      const TelemetryStore::Sealed& page = store.sealed(i);
+      if (page.owner != id) continue;
+      for (const Sample& s : store.payload(page)) clip(s);
     }
-    for (const Sample& s : stream->open) clip(s);
+    for (const Sample& s : store.tail(*stream)) clip(s);
     return out;
   }
 
-  const std::vector<SummaryBin>& bins =
-      tier == 1 ? stream->tier1 : stream->tier2;
-  for (const SummaryBin& bin : bins) {
-    if (overlaps(bin, t0, t1)) out.bins.push_back(bin);
+  // Each bin folds a complete run of `fanout` tier-1 bins (1 at tier 1).
+  const std::size_t fanout = tier == 1 ? 1 : store.config().fanout;
+  SummaryBin coarse;
+  std::size_t folded = 0;
+  for (std::uint64_t i = 0; i < store.pages_sealed(); ++i) {
+    if (store.sealed(i).owner != id) continue;
+    coarse.fold(store.sealed(i).bin);
+    if (++folded % fanout != 0) continue;
+    if (overlaps(coarse, t0, t1)) out.bins.push_back(coarse);
+    coarse = {};
   }
-  if (tier == 1) {
-    const SummaryBin tail = tail_bin(*stream);
-    if (overlaps(tail, t0, t1)) out.bins.push_back(tail);
-  }
+  const SummaryBin tail = tier == 1 ? tail_bin(store, *stream) : SummaryBin{};
+  if (overlaps(tail, t0, t1)) out.bins.push_back(tail);
   return out;
 }
 
@@ -123,15 +96,42 @@ std::vector<RankEntry> rank_tenants(const TelemetryStore& store,
                                           : sim::Picoseconds{1};
     if (half_life == 0) half_life = 1;
   }
+  auto score_bin = [&](Scored& s, const SummaryBin& bin) {
+    if (!overlaps(bin, query.t0, query.t1)) return;
+    const double age = bin.last_ps >= window_end
+                           ? 0.0
+                           : static_cast<double>(window_end - bin.last_ps);
+    const double w = std::exp2(-age / static_cast<double>(half_life));
+    s.severity += w * static_cast<double>(bin.flagged);
+    s.weighted_count += w * static_cast<double>(bin.count);
+    s.peak_score =
+        s.samples != 0 ? std::max(s.peak_score, bin.max_score) : bin.max_score;
+    s.samples += bin.count;
+    s.health += bin.health;
+    s.anomaly_rate += static_cast<double>(bin.flagged);
+  };
 
-  const std::size_t k = query.top_k;
+  // Pass 1: the seal log in seal order, which is each stream's page order.
   const std::size_t n = store.tenants();
+  std::vector<Scored> scored(n);
+  for (std::uint64_t i = 0; i < store.pages_sealed(); ++i) {
+    const TelemetryStore::Sealed& page = store.sealed(i);
+    score_bin(scored[page.owner], page.bin);
+  }
+
+  // Pass 2: fold each open tail, then rank the tenants the window covers.
+  const std::size_t k = query.top_k;
   std::vector<Scored> kept;
   kept.reserve(k == 0 ? n : std::min(k, n));
-  for (const TelemetryStore::Stream& stream : store.streams()) {
-    Scored s;
-    if (!score_stream(stream, query, window_end, half_life, s)) continue;
+  for (std::size_t id = 0; id < n; ++id) {
+    const TelemetryStore::Stream& stream = store.streams()[id];
+    Scored& s = scored[id];
+    if (stream.open != 0) score_bin(s, tail_bin(store, stream));
+    if (s.samples == 0) continue;
     s.tenant = &stream.tenant;
+    s.severity =
+        s.weighted_count > 0.0 ? s.severity / s.weighted_count : 0.0;
+    s.anomaly_rate /= static_cast<double>(s.samples);
     if (k == 0 || kept.size() < k) {
       kept.push_back(s);
       // Once k candidates are in, keep them as a heap whose front is the

@@ -10,22 +10,15 @@
 //   w_i      = 2^(-(window_end - last_ps_i) / half_life)
 //
 // so a tenant flagging *now* outranks one that flagged the same fraction of
-// its samples long ago. When the query leaves half_life at 0 it resolves
-// to a quarter of the evaluated window. Ties (including the all-zero tail)
-// break by tenant name, so the ranking is a total order — byte-identical
-// across runs, schedulers, and worker counts.
+// its samples long ago. Ties (including the all-zero tail) break by tenant
+// name, so the ranking is a total order — byte-identical across runs,
+// schedulers, and worker counts.
 //
-// Cost: scoring is one pass over every tenant's tier-1 bins. With top_k =
-// k set, the ranking keeps a k-entry heap whose front is the current k-th
-// entry, compares each scored tenant against it by its stream's own name,
-// copies a name only for the survivors, and sorts those k at the end:
-// O(n log k) for n tenants. top_k = 0 sorts all n, O(n log n). Because the
-// order is total, both give the same first k entries, field for field.
-//
-// series() materializes one tenant's stream at any tier inside a window:
-// tier 0 returns raw points (skipping pages whose payload was evicted under
-// the byte cap — their summaries remain in tiers 1/2), tiers 1/2 return the
-// resident bins overlapping the window.
+// Cost: one pass over the seal log folds each tier-1 bin into a dense
+// per-stream accumulator (seal order is each stream's page order), and one
+// pass over the streams folds each open tail and ranks. top_k = k keeps a
+// k-entry heap and copies k names: O(n log k) for n tenants; top_k = 0
+// sorts all n. The order is total, so both agree on the first k entries.
 #pragma once
 
 #include <cstddef>
@@ -51,10 +44,13 @@ struct Series {
   std::vector<SummaryBin> bins;     ///< tiers 1/2
 };
 
-/// Extract `tenant`'s stream at `tier` over [t0, t1]. Tier 0 clips points
-/// exactly; tiers 1/2 include every bin whose [first_ps, last_ps] overlaps
-/// the window (bin granularity — summaries are not re-split). Unknown
-/// tenants yield an empty series; tier > 2 throws TelemetryError.
+/// Extract `tenant`'s stream at `tier` over [t0, t1]: tier 0 the points of
+/// its resident pages and open tail, clipped exactly; tier 1 its tier-1
+/// bins and the open tail's bin, tier 2 each complete run of `fanout`
+/// tier-1 bins folded into one, each kept when its [first_ps, last_ps]
+/// overlaps the window. Unknown tenants yield an empty series; tier > 2
+/// throws TelemetryError. It scans the whole seal log, O(pages sealed) per
+/// call: for tests and inspection, not a query path.
 Series series(const TelemetryStore& store, const std::string& tenant,
               std::uint8_t tier, sim::Picoseconds t0, sim::Picoseconds t1);
 

@@ -17,14 +17,20 @@
 //      its top_k answer is exactly the prefix of the full ranking.
 //   5. A store is a movable value: moved mid-ingest, it ends exactly like
 //      an unmoved twin.
+//   6. The flat seal log and slot pool match a per-stream reference store
+//      bit for bit: counters, series at every tier, rankings and spill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <deque>
 #include <exception>
 #include <fstream>
+#include <map>
+#include <random>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -229,14 +235,19 @@ TEST(TelemetryStore, TiersConserveSamplesFlagsAndScoreMass) {
 
   const auto* stream = store.stream("tenant");
   ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->tier1.size(), 6u);
-  EXPECT_EQ(stream->tier2.size(), 3u);
-  EXPECT_EQ(stream->open.size(), 3u);
+  const auto all = ~sim::Picoseconds{0};
+  // Tier 1 is the six sealed pages' bins and then the open tail's bin.
+  const std::vector<SummaryBin> tier1 = series(store, "tenant", 1, 0, all).bins;
+  const std::vector<SummaryBin> tier2 = series(store, "tenant", 2, 0, all).bins;
+  ASSERT_EQ(tier1.size(), 7u);
+  EXPECT_EQ(tier2.size(), 3u);
+  EXPECT_EQ(stream->open, 3u);
+  EXPECT_EQ(store.tail(*stream).size(), 3u);
+  EXPECT_EQ(tier1.back().count, 3u);
 
   // Tier-1 bins + the open tail cover every sample exactly once.
   SummaryBin tier1_total;
-  for (const SummaryBin& b : stream->tier1) tier1_total.fold(b);
-  for (const Sample& s : stream->open) tier1_total.fold(s);
+  for (const SummaryBin& b : tier1) tier1_total.fold(b);
   EXPECT_EQ(tier1_total.count, 27u);
   EXPECT_EQ(tier1_total.flagged, flagged);
   EXPECT_DOUBLE_EQ(tier1_total.sum_score, sum);
@@ -245,10 +256,10 @@ TEST(TelemetryStore, TiersConserveSamplesFlagsAndScoreMass) {
 
   // Tier-2 bins conserve the tier-1 runs they fold (all 6 here).
   SummaryBin tier2_total;
-  for (const SummaryBin& b : stream->tier2) tier2_total.fold(b);
+  for (const SummaryBin& b : tier2) tier2_total.fold(b);
   EXPECT_EQ(tier2_total.count, 24u);  // 6 sealed pages of 4
   SummaryBin sealed_total;
-  for (const SummaryBin& b : stream->tier1) sealed_total.fold(b);
+  for (std::size_t i = 0; i < 6; ++i) sealed_total.fold(tier1[i]);
   EXPECT_EQ(tier2_total.flagged, sealed_total.flagged);
   EXPECT_DOUBLE_EQ(tier2_total.sum_score, sealed_total.sum_score);
   EXPECT_EQ(tier2_total.min_score, sealed_total.min_score);
@@ -262,6 +273,19 @@ TEST(TelemetryStore, RejectsOutOfOrderStreamClock) {
   EXPECT_THROW(store.append("tenant", make_sample(99, 0.0)), TelemetryError);
   // Other tenants keep their own clocks.
   EXPECT_NO_THROW(store.append("other", make_sample(1, 0.0)));
+}
+
+TEST(TelemetryStore, RejectsPageSizesBeyondThirtyTwoBits) {
+  // The open-tail fill is a 32-bit count, and a pool chunk of 64 pages of
+  // 2^58 samples would wrap std::size_t: both are refused up front.
+  for (const std::size_t page : {std::size_t{1} << 32, std::size_t{1} << 58}) {
+    StoreConfig cfg;
+    cfg.page_samples = page;
+    EXPECT_THROW(TelemetryStore{cfg}, TelemetryError) << page;
+  }
+  StoreConfig widest;
+  widest.page_samples = UINT32_MAX;
+  EXPECT_NO_THROW(TelemetryStore{widest});  // allocates on first append
 }
 
 TEST(TelemetryStore, AppendNeverMisroutesInterleavedTenants) {
@@ -304,7 +328,13 @@ TEST(TelemetryStore, AppendNeverMisroutesInterleavedTenants) {
                    TelemetryError);
       EXPECT_EQ(store.stream("a")->last_ps, last);
 
-      EXPECT_EQ(store.pages_sealed(), seals.size());
+      // The seal log holds every sealed page in seal order.
+      ASSERT_EQ(store.pages_sealed(), seals.size());
+      for (std::size_t i = 0; i < seals.size(); ++i) {
+        EXPECT_EQ(store.streams()[store.sealed(i).owner].tenant,
+                  seals[i].first)
+            << "seal " << i;
+      }
       evicted = store.pages_evicted();
       if (cap == 1) {
         EXPECT_EQ(evicted, seals.size());
@@ -318,8 +348,14 @@ TEST(TelemetryStore, AppendNeverMisroutesInterleavedTenants) {
         const auto* stream = store.stream(names[t]);
         ASSERT_NE(stream, nullptr);
         EXPECT_EQ(stream->samples, count[t]);
-        EXPECT_EQ(stream->pages.size(), count[t] / cfg.page_samples);
-        EXPECT_EQ(stream->open.size(), count[t] % cfg.page_samples);
+        const auto id =
+            static_cast<std::uint32_t>(stream - store.streams().data());
+        std::uint64_t pages = 0;
+        for (std::uint64_t i = 0; i < store.pages_sealed(); ++i) {
+          if (store.sealed(i).owner == id) ++pages;
+        }
+        EXPECT_EQ(pages, count[t] / cfg.page_samples);
+        EXPECT_EQ(stream->open, count[t] % cfg.page_samples);
         // A stream's evicted pages are its share of the oldest seals.
         const auto own = static_cast<std::uint64_t>(std::count_if(
             seals.begin(), seals.begin() + static_cast<std::ptrdiff_t>(evicted),
@@ -353,8 +389,7 @@ TEST(TelemetryStore, AppendNeverMisroutesInterleavedTenants) {
 TEST(TelemetryStore, MovedMidIngestMatchesAnUnmovedTwin) {
   // The store holds ids, not pointers into its own containers, so the
   // implicit moves are correct; it owns the spill stream, so no copies.
-  // The implicit moves are not noexcept: std::ofstream's moves and
-  // std::deque's move constructor are not.
+  // The implicit moves are not noexcept: std::ofstream's moves are not.
   static_assert(std::is_move_constructible_v<TelemetryStore> &&
                 std::is_move_assignable_v<TelemetryStore> &&
                 !std::is_copy_constructible_v<TelemetryStore> &&
@@ -631,6 +666,331 @@ TEST(TelemetryQuery, TopKIsExactlyThePrefixOfTheFullRanking) {
         expect_bitwise_equal(top[i].peak_score, full[i].peak_score);
         EXPECT_EQ(top[i].samples, full[i].samples);
         EXPECT_EQ(top[i].health, full[i].health);
+      }
+    }
+  }
+}
+
+/// The store's earlier per-stream layout, kept as the reference the flat
+/// seal log and slot pool must match bit for bit: each stream owns its
+/// sealed page vectors, its tier-1 and tier-2 bin vectors (tier 2 rolled up
+/// at seal) and its open tail; a FIFO ring of stream ids orders eviction;
+/// the spill lands in memory; the ranking scores each stream's bins, sorts
+/// every tenant and truncates.
+class ReferenceStore {
+ public:
+  struct Stream {
+    std::string tenant;
+    std::vector<std::vector<Sample>> pages;
+    std::uint64_t evicted = 0;
+    std::vector<Sample> open;
+    std::vector<SummaryBin> tier1;
+    std::vector<SummaryBin> tier2;
+    std::uint64_t samples = 0;
+    std::uint64_t health = 0;
+    sim::Picoseconds last_ps = 0;
+  };
+
+  explicit ReferenceStore(const StoreConfig& cfg) : cfg_(cfg) {}
+
+  void append(const std::string& tenant, const Sample& sample) {
+    const auto [it, added] = ids_.try_emplace(tenant, streams_.size());
+    if (added) streams_.emplace_back().tenant = tenant;
+    Stream& st = streams_[it->second];
+    st.last_ps = sample.at_ps;
+    ++st.samples;
+    st.health += sample.health;
+    st.open.push_back(sample);
+    if (samples == 0) first_ps = sample.at_ps;
+    first_ps = std::min(first_ps, sample.at_ps);
+    last_ps = std::max(last_ps, sample.at_ps);
+    ++samples;
+    if (sample.flagged) ++flagged;
+    if (st.open.size() < cfg_.page_samples) return;
+
+    SummaryBin bin;
+    for (const Sample& s : st.open) bin.fold(s);
+    st.tier1.push_back(bin);
+    if (st.tier1.size() % cfg_.fanout == 0) {
+      SummaryBin coarse;
+      for (std::size_t i = st.tier1.size() - cfg_.fanout; i < st.tier1.size();
+           ++i) {
+        coarse.fold(st.tier1[i]);
+      }
+      st.tier2.push_back(coarse);
+    }
+    resident_bytes += encoded_size(st.tenant.size(), st.open.size());
+    resident_bytes_hwm = std::max(resident_bytes_hwm, resident_bytes);
+    st.pages.push_back(std::exchange(st.open, {}));
+    ring_.push_back(it->second);
+    ++pages_sealed;
+    while (cfg_.cap_bytes != 0 && resident_bytes > cfg_.cap_bytes &&
+           !ring_.empty()) {
+      Stream& victim = streams_[ring_.front()];
+      ring_.pop_front();
+      const std::uint64_t seq = victim.evicted++;
+      Page page{victim.tenant, seq, std::exchange(victim.pages[seq], {})};
+      resident_bytes -= encoded_size(page);
+      if (!cfg_.spill_path.empty()) {
+        const auto bytes = page.serialize();
+        spill.insert(spill.end(), bytes.begin(), bytes.end());
+        ++pages_spilled;
+      }
+      ++pages_evicted;
+    }
+  }
+
+  const Stream* stream(const std::string& tenant) const {
+    const auto it = ids_.find(tenant);
+    return it == ids_.end() ? nullptr : &streams_[it->second];
+  }
+  const std::vector<Stream>& streams() const { return streams_; }
+
+  Series series(const std::string& tenant, std::uint8_t tier,
+                sim::Picoseconds t0, sim::Picoseconds t1) const {
+    Series out;
+    out.tenant = tenant;
+    out.tier = tier;
+    const Stream* st = stream(tenant);
+    if (st == nullptr) return out;
+    if (tier == 0) {
+      std::vector<Sample> raw;
+      for (std::size_t p = st->evicted; p < st->pages.size(); ++p) {
+        raw.insert(raw.end(), st->pages[p].begin(), st->pages[p].end());
+      }
+      raw.insert(raw.end(), st->open.begin(), st->open.end());
+      for (const Sample& s : raw) {
+        if (s.at_ps < t0 || s.at_ps > t1) continue;
+        out.points.push_back({s.at_ps, s.score, s.flagged, s.health});
+      }
+      return out;
+    }
+    std::vector<SummaryBin> bins = tier == 1 ? st->tier1 : st->tier2;
+    if (tier == 1) bins.push_back(tail_bin(*st));
+    for (const SummaryBin& b : bins) {
+      if (b.count != 0 && b.last_ps >= t0 && b.first_ps <= t1) {
+        out.bins.push_back(b);
+      }
+    }
+    return out;
+  }
+
+  std::vector<RankEntry> rank(const RankQuery& query) const {
+    const sim::Picoseconds end = std::min(query.t1, last_ps);
+    const sim::Picoseconds begin = std::max(query.t0, first_ps);
+    sim::Picoseconds half_life = query.half_life_ps;
+    if (half_life == 0) {
+      half_life = end > begin ? (end - begin) / 4 : 1;
+      if (half_life == 0) half_life = 1;
+    }
+    std::vector<RankEntry> all;
+    for (const Stream& st : streams_) {
+      RankEntry e;
+      e.tenant = st.tenant;
+      double wf = 0.0;
+      double wc = 0.0;
+      double flags = 0.0;
+      std::vector<SummaryBin> bins = st.tier1;
+      bins.push_back(tail_bin(st));
+      for (const SummaryBin& b : bins) {
+        if (b.count == 0 || b.last_ps < query.t0 || b.first_ps > query.t1) {
+          continue;
+        }
+        const double age =
+            b.last_ps >= end ? 0.0 : static_cast<double>(end - b.last_ps);
+        const double w = std::exp2(-age / static_cast<double>(half_life));
+        wf += w * static_cast<double>(b.flagged);
+        wc += w * static_cast<double>(b.count);
+        e.peak_score =
+            e.samples == 0 ? b.max_score : std::max(e.peak_score, b.max_score);
+        e.samples += b.count;
+        e.health += b.health;
+        flags += static_cast<double>(b.flagged);
+      }
+      if (e.samples == 0) continue;
+      e.severity = wc > 0.0 ? wf / wc : 0.0;
+      e.anomaly_rate = flags / static_cast<double>(e.samples);
+      all.push_back(e);
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.severity != b.severity) return a.severity > b.severity;
+      return a.tenant < b.tenant;
+    });
+    if (query.top_k != 0 && all.size() > query.top_k) all.resize(query.top_k);
+    return all;
+  }
+
+  std::uint64_t samples = 0;
+  std::uint64_t flagged = 0;
+  std::uint64_t pages_sealed = 0;
+  std::uint64_t pages_evicted = 0;
+  std::uint64_t pages_spilled = 0;
+  std::uint64_t resident_bytes = 0;
+  std::uint64_t resident_bytes_hwm = 0;
+  sim::Picoseconds first_ps = 0;
+  sim::Picoseconds last_ps = 0;
+  std::vector<std::uint8_t> spill;
+
+ private:
+  static SummaryBin tail_bin(const Stream& st) {
+    SummaryBin bin;
+    for (const Sample& s : st.open) bin.fold(s);
+    return bin;
+  }
+
+  StoreConfig cfg_;
+  std::vector<Stream> streams_;
+  std::map<std::string, std::size_t> ids_;
+  std::deque<std::size_t> ring_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_bins(const std::vector<SummaryBin>& got,
+                      const std::vector<SummaryBin>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("bin " + std::to_string(i));
+    EXPECT_EQ(got[i].first_ps, want[i].first_ps);
+    EXPECT_EQ(got[i].last_ps, want[i].last_ps);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_TRUE(same_bits(got[i].sum_score, want[i].sum_score));
+    EXPECT_TRUE(same_bits(got[i].min_score, want[i].min_score));
+    EXPECT_TRUE(same_bits(got[i].max_score, want[i].max_score));
+    EXPECT_EQ(got[i].flagged, want[i].flagged);
+    EXPECT_EQ(got[i].health, want[i].health);
+  }
+}
+
+TEST(TelemetryStore, MatchesThePerStreamReferenceBitForBit) {
+  std::mt19937_64 rng(20260522);
+  auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  int config = 0;
+  for (const std::size_t page : {1, 3, 8}) {
+    for (const std::size_t fanout : {1, 2, 16}) {
+      // No cap; about three resident pages; about half of what seals.
+      const std::uint64_t page_bytes = encoded_size(4, page);
+      for (const std::uint64_t cap :
+           {std::uint64_t{0}, 3 * page_bytes, 60 * page_bytes}) {
+        for (const bool spill : {false, true}) {
+          SCOPED_TRACE("page " + std::to_string(page) + " fanout " +
+                       std::to_string(fanout) + " cap " + std::to_string(cap) +
+                       (spill ? " spill" : " no spill"));
+          StoreConfig cfg;
+          cfg.page_samples = page;
+          cfg.fanout = fanout;
+          cfg.cap_bytes = cap;
+          if (spill) {
+            cfg.spill_path = testing::TempDir() + "rtad_telemetry_diff_" +
+                             std::to_string(config++) + ".bin";
+          }
+          ReferenceStore ref(cfg);
+          const std::size_t tenants = 1 + below(50);
+          std::vector<std::string> names;
+          for (std::size_t t = 0; t < tenants; ++t) {
+            std::string name = "t";  // shared prefixes: t1, t10, t11...
+            name += std::to_string(t);
+            names.push_back(name);
+          }
+          std::vector<sim::Picoseconds> clock(tenants, 0);
+          {
+            TelemetryStore store(cfg);
+            // Runs of one tenant between switches, so the last-stream
+            // check both hits and misses.
+            for (std::size_t n = 0, t = 0; n < 120 * page; ++n) {
+              if (below(3) == 0) t = below(tenants);
+              clock[t] += below(4) * 10;  // equal instants happen
+              const Sample s = make_sample(clock[t], 0.125 * below(9),
+                                           below(5) == 0, below(11) == 0);
+              store.append(names[t], s);
+              ref.append(names[t], s);
+            }
+
+            EXPECT_EQ(store.tenants(), ref.streams().size());
+            EXPECT_EQ(store.samples(), ref.samples);
+            EXPECT_EQ(store.flagged(), ref.flagged);
+            EXPECT_EQ(store.pages_sealed(), ref.pages_sealed);
+            EXPECT_EQ(store.pages_evicted(), ref.pages_evicted);
+            EXPECT_EQ(store.pages_spilled(), ref.pages_spilled);
+            EXPECT_EQ(store.resident_bytes(), ref.resident_bytes);
+            EXPECT_EQ(store.resident_bytes_hwm(), ref.resident_bytes_hwm);
+            EXPECT_EQ(store.first_ps(), ref.first_ps);
+            EXPECT_EQ(store.last_ps(), ref.last_ps);
+
+            const sim::Picoseconds span = ref.last_ps + 1;
+            for (const std::string& name : names) {
+              SCOPED_TRACE(name);
+              const auto* got = store.stream(name);
+              const auto* want = ref.stream(name);
+              ASSERT_EQ(got == nullptr, want == nullptr);
+              if (want == nullptr) continue;
+              EXPECT_EQ(got->samples, want->samples);
+              EXPECT_EQ(got->health, want->health);
+              EXPECT_EQ(got->evicted, want->evicted);
+              EXPECT_EQ(got->open, want->open.size());
+              EXPECT_EQ(got->last_ps, want->last_ps);
+              for (int w = 0; w < 3; ++w) {
+                sim::Picoseconds t0 = w == 0 ? 0 : below(span);
+                sim::Picoseconds t1 = w == 0 ? ~sim::Picoseconds{0}
+                                             : below(span);
+                if (t0 > t1) std::swap(t0, t1);
+                const auto raw = series(store, name, 0, t0, t1);
+                const auto raw_want = ref.series(name, 0, t0, t1);
+                ASSERT_EQ(raw.points.size(), raw_want.points.size());
+                for (std::size_t i = 0; i < raw.points.size(); ++i) {
+                  const SeriesPoint& a = raw.points[i];
+                  const SeriesPoint& b = raw_want.points[i];
+                  EXPECT_EQ(a.at_ps, b.at_ps);
+                  EXPECT_TRUE(same_bits(a.score, b.score));
+                  EXPECT_EQ(a.flagged, b.flagged);
+                  EXPECT_EQ(a.health, b.health);
+                }
+                for (const std::uint8_t tier : {1, 2}) {
+                  SCOPED_TRACE("tier " + std::to_string(tier));
+                  expect_same_bins(series(store, name, tier, t0, t1).bins,
+                                   ref.series(name, tier, t0, t1).bins);
+                }
+              }
+            }
+
+            for (int q = 0; q < 8; ++q) {
+              RankQuery query;
+              if (q != 0) {
+                query.t0 = below(span);
+                query.t1 = below(2) == 0 ? ~sim::Picoseconds{0}
+                                         : query.t0 + below(span);
+                query.half_life_ps = below(2) == 0 ? 0 : 1 + below(span);
+              }
+              const std::size_t k = 2 + below(tenants);
+              for (const std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                              k}) {
+                query.top_k = top_k;
+                SCOPED_TRACE("query " + std::to_string(q) + " top_k " +
+                             std::to_string(top_k));
+                const auto got = rank_tenants(store, query);
+                const auto want = ref.rank(query);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                  EXPECT_EQ(got[i].tenant, want[i].tenant);
+                  EXPECT_TRUE(same_bits(got[i].severity, want[i].severity));
+                  EXPECT_TRUE(
+                      same_bits(got[i].anomaly_rate, want[i].anomaly_rate));
+                  EXPECT_TRUE(same_bits(got[i].peak_score, want[i].peak_score));
+                  EXPECT_EQ(got[i].samples, want[i].samples);
+                  EXPECT_EQ(got[i].health, want[i].health);
+                }
+              }
+            }
+          }  // closes the spill stream
+          if (spill) {
+            EXPECT_EQ(read_bytes(cfg.spill_path), ref.spill);
+          }
+          if (cap != 0) {
+            EXPECT_GT(ref.pages_evicted, 0u);
+          }
+        }
       }
     }
   }

@@ -211,6 +211,28 @@ EOF
     ! grep -q '"recovered"' "${ref}.json" ||
       fail "zero-fault JSON has recovered"
     ;;
+  telemetry_query)
+    # The default 32 MiB cap never binds at CI scale. Under a 4 MiB cap
+    # pages evict and spill; both modes must evict, print the same stdout
+    # and write the same spill bytes. Both runs name one spill path, since
+    # stdout prints it; each file is then kept under its mode's name.
+    for mode in dense-j1 event-j8; do
+      # shellcheck disable=SC2046
+      run "evict-${mode}" $(mode_env "${mode}") RTAD_TELEMETRY_CAP_KB=4096 \
+        RTAD_TELEMETRY=evict.spill
+      mv evict.spill "evict-${mode}.spill"
+      core "evict-${mode}.json"
+      python3 - "evict-${mode}.json" <<'EOF' ||
+import json, sys
+store = json.load(open(sys.argv[1]))["store"]
+assert store["pages_evicted"] > 0, store
+EOF
+        fail "evict-${mode} evicted no page"
+    done
+    same evict-dense-j1.txt evict-event-j8.txt
+    same evict-dense-j1.core evict-event-j8.core
+    same evict-dense-j1.spill evict-event-j8.spill
+    ;;
 esac
 
 echo "smoke(${name}): PASS (${#modes[@]} modes, outputs in ${out})" >&2
