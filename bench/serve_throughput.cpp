@@ -15,9 +15,11 @@
 // freak burst — the regression gates hold shed+degraded == 0 for L < 1 and
 // > 0 for the deep-overload point, deterministically.
 //
-// The workload is fixed: astar, 32 sessions from 12 tenants, one attack per
-// episode, offered loads 0.5 / 1.5 / 6, seed 2026; RTAD_SMOKE=1 only
-// trains on the reduced corpus. Environment knobs: the fleet shape parsed
+// The workload is astar, one attack per episode, seed 2026: 32 sessions
+// from 12 tenants at offered loads 0.5 / 1.5 / 6, or under RTAD_SMOKE=1 16
+// sessions from 3 tenants at loads 0.5 / 6 on the reduced corpus (the
+// smallest shape that still sheds at load 6 under the shed policy and
+// degrades under degrade). Environment knobs: the fleet shape parsed
 // by ServiceConfig::from_env (RTAD_SERVE_POLICY / RETRY /
 // CHECKPOINT_CAP_KB), RTAD_SMOKE and RTAD_BENCH_JSON (default
 // BENCH_serve.json) as in bench/common.hpp, and RTAD_JOBS / RTAD_SCHED as
@@ -26,7 +28,6 @@
 // diagnostics go to stderr.
 #include <algorithm>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -41,11 +42,19 @@ using namespace rtad;
 
 namespace {
 
-constexpr std::size_t kSessions = 32;
-constexpr std::size_t kTenants = 12;
 constexpr std::size_t kAttacks = 1;
 constexpr std::uint64_t kSeed = 2026;
-constexpr double kLoads[] = {0.5, 1.5, 6.0};
+
+/// The sweep's size: sessions per load point, the tenants they cycle
+/// through, and the offered loads (below saturation first, deep overload
+/// last).
+struct Shape {
+  std::size_t sessions;
+  std::size_t tenants;
+  std::vector<double> loads;
+};
+const Shape kPaperShape{32, 12, {0.5, 1.5, 6.0}};
+const Shape kSmokeShape{16, 3, {0.5, 6.0}};
 
 serve::TenantClass class_of(std::size_t tenant_index) {
   // Two batch tenants out of every six; the rest interactive.
@@ -60,6 +69,7 @@ core::ModelKind model_of(serve::TenantClass cls) {
 
 int run() {
   const std::string benchmark = workloads::find_profile("astar").name;
+  const Shape& shape = bench::smoke() ? kSmokeShape : kPaperShape;
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
   scfg.detection.attacks = kAttacks;
@@ -86,8 +96,8 @@ int run() {
   const double capacity =
       static_cast<double>(scfg.shards) * static_cast<double>(scfg.lanes);
 
-  std::cout << "Benchmark: " << benchmark << ", " << kSessions
-            << " sessions from " << kTenants << " tenants, " << kAttacks
+  std::cout << "Benchmark: " << benchmark << ", " << shape.sessions
+            << " sessions from " << shape.tenants << " tenants, " << kAttacks
             << " attack(s) per episode\n";
   std::cout << "Fleet: " << scfg.shards << " shard(s) x " << scfg.lanes
             << " lane(s), ingress queue " << scfg.queue_capacity
@@ -108,19 +118,19 @@ int run() {
   };
   std::vector<Point> points;
 
-  for (std::size_t li = 0; li < std::size(kLoads); ++li) {
-    const double load = kLoads[li];
+  for (std::size_t li = 0; li < shape.loads.size(); ++li) {
+    const double load = shape.loads[li];
     // Open-loop generator: arrival rate = load x capacity / mean service.
     const double mean_gap_ps = mean_service_ps / (load * capacity);
     sim::Xoshiro256 rng(kSeed ^ (0x5EDFEEDULL + li));
     std::vector<serve::SessionRequest> requests;
-    requests.reserve(kSessions);
+    requests.reserve(shape.sessions);
     sim::Picoseconds at = 0;
-    for (std::size_t i = 0; i < kSessions; ++i) {
+    for (std::size_t i = 0; i < shape.sessions; ++i) {
       const auto gap = static_cast<sim::Picoseconds>(
           mean_gap_ps * (0.5 + rng.uniform()));
       at += std::max<sim::Picoseconds>(1, gap);
-      const std::size_t t = i % kTenants;
+      const std::size_t t = i % shape.tenants;
       serve::SessionRequest req;
       req.tenant = "tenant-" + std::to_string(t);
       req.cls = class_of(t);
@@ -136,7 +146,7 @@ int run() {
     Point p;
     p.load = load;
     p.interarrival_us = mean_gap_ps / static_cast<double>(sim::kPsPerUs);
-    std::cerr << "serve_throughput: load " << load << " (" << kSessions
+    std::cerr << "serve_throughput: load " << load << " (" << shape.sessions
               << " sessions)...\n";
     p.report = service.run(std::move(requests));
     sim::Picoseconds makespan = 0;
@@ -191,8 +201,8 @@ int run() {
   const auto body = [&](obs::JsonWriter& json) {
     json.field("schema", "rtad.serve.bench.v1");
     json.field("benchmark", benchmark);
-    json.field("sessions", static_cast<std::uint64_t>(kSessions));
-    json.field("tenants", static_cast<std::uint64_t>(kTenants));
+    json.field("sessions", static_cast<std::uint64_t>(shape.sessions));
+    json.field("tenants", static_cast<std::uint64_t>(shape.tenants));
     json.field("attacks_per_session", static_cast<std::uint64_t>(kAttacks));
     json.field("seed", kSeed);
     json.key("calibration").begin_object();

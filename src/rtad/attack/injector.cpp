@@ -11,7 +11,7 @@ AttackInjector::AttackInjector(cpu::StepSource& inner,
       pool_(std::move(pool)),
       config_(config),
       rng_(config.seed) {
-  if (pool_.empty() && config.kind == AttackKind::kLegitimateReplay) {
+  if (pool_.empty()) {
     throw std::invalid_argument("legitimate-replay attack needs a pool");
   }
 }
@@ -25,7 +25,7 @@ workloads::TraceStep AttackInjector::next() {
     burst_remaining_ = config_.burst_events;
     ++attacks_;
     config_.trigger_instruction = UINT64_MAX;  // one-shot until re-armed
-    if (config_.repeat_single && !pool_.empty()) {
+    if (config_.repeat_single) {
       burst_target_ = pool_[rng_.uniform_below(pool_.size())];
     }
   }
@@ -39,15 +39,10 @@ workloads::TraceStep AttackInjector::next() {
     cpu::BranchEvent& ev = step.event;
     ev.injected = true;
     ev.taken = true;
-    ev.source = pool_.empty() ? 0x1000 : pool_[0] - 4;
-    if (config_.kind == AttackKind::kLegitimateReplay) {
-      ev.target = config_.repeat_single
-                      ? burst_target_
-                      : pool_[rng_.uniform_below(pool_.size())];
-    } else {
-      // Random (non-legitimate) target — trivially detectable case.
-      ev.target = 0x4000'0000ULL + (rng_.next() & 0xFFFFFEULL);
-    }
+    ev.source = pool_[0] - 4;
+    ev.target = config_.repeat_single
+                    ? burst_target_
+                    : pool_[rng_.uniform_below(pool_.size())];
     ev.kind = config_.as_syscalls ? cpu::BranchKind::kSyscall
                                   : cpu::BranchKind::kCall;
     return step;

@@ -23,16 +23,10 @@
 
 namespace rtad::attack {
 
-enum class AttackKind : std::uint8_t {
-  kLegitimateReplay,  ///< legitimate addresses, wrong context (hard case)
-  kRandomAddress,     ///< arbitrary addresses (trivially detectable)
-};
-
 struct AttackConfig {
   std::uint64_t trigger_instruction = UINT64_MAX;  ///< when the exploit fires
   std::uint32_t burst_events = 8;   ///< injected branch events per attack
   std::uint32_t gap_instructions = 3;  ///< spacing inside the burst
-  AttackKind kind = AttackKind::kLegitimateReplay;
   bool as_syscalls = false;  ///< inject syscall events (ELM) vs calls (LSTM)
   /// Repeat one pool entry for the whole burst (a "syscall storm" /
   /// exploit-loop pattern) instead of sampling fresh targets per event.
@@ -43,7 +37,8 @@ struct AttackConfig {
 class AttackInjector final : public cpu::StepSource {
  public:
   /// `pool`: legitimate addresses to replay (monitored call targets for the
-  /// LSTM scenario, valid syscall entries for the ELM scenario).
+  /// LSTM scenario, valid syscall entries for the ELM scenario); must not
+  /// be empty.
   AttackInjector(cpu::StepSource& inner, std::vector<std::uint64_t> pool,
                  AttackConfig config);
 

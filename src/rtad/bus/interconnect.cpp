@@ -1,7 +1,6 @@
 #include "rtad/bus/interconnect.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace rtad::bus {
 
@@ -9,43 +8,19 @@ namespace {
 constexpr std::size_t kMaxBeatsPerTxn = 16;  // AXI3 burst length limit
 }
 
-void Interconnect::map(std::string name, std::uint64_t base, std::uint64_t size,
-                       Slave& slave, bool is_ddr) {
-  if (size == 0) throw std::invalid_argument("empty bus region");
-  for (const auto& r : regions_) {
-    const bool disjoint = base + size <= r.base || r.base + r.size <= base;
-    if (!disjoint) {
-      throw std::invalid_argument("bus region '" + name + "' overlaps '" +
-                                  r.name + "'");
-    }
-  }
-  regions_.push_back(Region{std::move(name), base, size, &slave, is_ddr});
-}
-
-const Interconnect::Region& Interconnect::route(std::uint64_t addr) const {
-  for (const auto& r : regions_) {
-    if (addr >= r.base && addr < r.base + r.size) return r;
-  }
-  throw std::out_of_range("bus decode error: no slave at address");
-}
-
 std::uint32_t Interconnect::read32(std::uint64_t addr, std::uint32_t& out) {
-  const Region& r = route(addr);
-  out = r.slave->read32(addr - r.base);
-  const std::uint32_t cost = timing_.arbitration_cycles +
-                             timing_.read_beat_cycles +
-                             (r.is_ddr ? timing_.ddr_extra_cycles : 0);
-  complete_transaction(cost, "rd", r.name);
+  out = slave_.read32(addr);
+  const std::uint32_t cost =
+      timing_.arbitration_cycles + timing_.read_beat_cycles;
+  complete_transaction(cost, "rd");
   return cost;
 }
 
 std::uint32_t Interconnect::write32(std::uint64_t addr, std::uint32_t value) {
-  const Region& r = route(addr);
-  r.slave->write32(addr - r.base, value);
-  const std::uint32_t cost = timing_.arbitration_cycles +
-                             timing_.write_beat_cycles +
-                             (r.is_ddr ? timing_.ddr_extra_cycles : 0);
-  complete_transaction(cost, "wr", r.name);
+  slave_.write32(addr, value);
+  const std::uint32_t cost =
+      timing_.arbitration_cycles + timing_.write_beat_cycles;
+  complete_transaction(cost, "wr");
   return cost;
 }
 
@@ -55,38 +30,13 @@ std::uint32_t Interconnect::write_burst(std::uint64_t addr,
   std::size_t i = 0;
   while (i < beats.size()) {
     const std::size_t n = std::min(kMaxBeatsPerTxn, beats.size() - i);
-    const Region& r = route(addr + i * 4);
     for (std::size_t b = 0; b < n; ++b) {
-      r.slave->write32(addr + (i + b) * 4 - r.base, beats[i + b]);
+      slave_.write32(addr + (i + b) * 4, beats[i + b]);
     }
     const std::uint32_t txn_cost =
         timing_.arbitration_cycles +
-        static_cast<std::uint32_t>(n) * timing_.write_beat_cycles +
-        (r.is_ddr ? timing_.ddr_extra_cycles : 0);
-    complete_transaction(txn_cost, "wr_burst", r.name);
-    cost += txn_cost;
-    i += n;
-  }
-  return cost;
-}
-
-std::uint32_t Interconnect::read_burst(std::uint64_t addr, std::size_t n_beats,
-                                       std::vector<std::uint32_t>& out) {
-  out.clear();
-  out.reserve(n_beats);
-  std::uint32_t cost = 0;
-  std::size_t i = 0;
-  while (i < n_beats) {
-    const std::size_t n = std::min(kMaxBeatsPerTxn, n_beats - i);
-    const Region& r = route(addr + i * 4);
-    for (std::size_t b = 0; b < n; ++b) {
-      out.push_back(r.slave->read32(addr + (i + b) * 4 - r.base));
-    }
-    const std::uint32_t txn_cost =
-        timing_.arbitration_cycles +
-        static_cast<std::uint32_t>(n) * timing_.read_beat_cycles +
-        (r.is_ddr ? timing_.ddr_extra_cycles : 0);
-    complete_transaction(txn_cost, "rd_burst", r.name);
+        static_cast<std::uint32_t>(n) * timing_.write_beat_cycles;
+    complete_transaction(txn_cost, "wr_burst");
     cost += txn_cost;
     i += n;
   }

@@ -1,7 +1,8 @@
 // NIC-301-style AMBA AXI interconnect model.
 //
-// Routes single-beat and burst word transfers from masters to slaves by
-// address map and charges a simple but calibrated cycle cost:
+// Carries single-beat and burst word transfers from the MCM's TX/RX engines
+// to the one slave on RTAD's AXI path, ML-MIAOW's internal memory, and
+// charges a simple but calibrated cycle cost:
 //   cost = arbitration + per-beat   (read adds the slave read latency)
 // The cost constants are expressed in *bus-clock* cycles; callers convert to
 // time with their own clock domain. This level of detail is what the Fig. 7
@@ -26,16 +27,15 @@ struct BusTiming {
   std::uint32_t arbitration_cycles = 2;  ///< address-phase + register slice
   std::uint32_t write_beat_cycles = 1;
   std::uint32_t read_beat_cycles = 2;    ///< slave data-phase latency included
-  std::uint32_t ddr_extra_cycles = 6;    ///< extra for DDR-backed regions
 };
 
 class Interconnect {
  public:
-  explicit Interconnect(BusTiming timing = {}) : timing_(timing) {}
-
-  /// Map [base, base+size) to a slave. Regions must not overlap.
-  void map(std::string name, std::uint64_t base, std::uint64_t size,
-           Slave& slave, bool is_ddr = false);
+  /// Bind the one slave, identity-mapped (bus address == slave offset);
+  /// `region` names it in trace spans. An address the slave does not hold
+  /// raises the slave's own error (std::out_of_range for DeviceMemory).
+  Interconnect(Slave& slave, std::string region, BusTiming timing = {})
+      : slave_(slave), region_(std::move(region)), timing_(timing) {}
 
   /// Single-beat transfers. Return the bus-cycle cost of the transaction.
   std::uint32_t read32(std::uint64_t addr, std::uint32_t& out);
@@ -45,8 +45,6 @@ class Interconnect {
   /// longer transfers are split as real masters do). Returns total cost.
   std::uint32_t write_burst(std::uint64_t addr,
                             const std::vector<std::uint32_t>& beats);
-  std::uint32_t read_burst(std::uint64_t addr, std::size_t n_beats,
-                           std::vector<std::uint32_t>& out);
 
   const BusTiming& timing() const noexcept { return timing_; }
   std::uint64_t transactions() const noexcept { return transactions_; }
@@ -96,30 +94,20 @@ class Interconnect {
   }
 
  private:
-  void complete_transaction(std::uint32_t base_cost, const char* op,
-                            const std::string& region) {
+  void complete_transaction(std::uint32_t base_cost, const char* op) {
     ++transactions_;
     if (faults_ != nullptr) apply_faults(base_cost);
     if (trace_)
-      trace_.complete(std::string(op) + ":" + region, trace_now_(),
+      trace_.complete(std::string(op) + ":" + region_, trace_now_(),
                       base_cost * trace_period_ps_);
     if (transfer_hook_) transfer_hook_();
   }
 
   void apply_faults(std::uint32_t base_cost);
 
-  struct Region {
-    std::string name;
-    std::uint64_t base;
-    std::uint64_t size;
-    Slave* slave;
-    bool is_ddr;
-  };
-
-  const Region& route(std::uint64_t addr) const;
-
+  Slave& slave_;
+  std::string region_;
   BusTiming timing_;
-  std::vector<Region> regions_;
   std::uint64_t transactions_ = 0;
   std::function<void()> transfer_hook_;
 

@@ -217,10 +217,6 @@ void RtadSoc::run_for_instructions(std::uint64_t n,
   cpu_->set_instruction_fence(cpu::HostCpu::kNoFence);
 }
 
-void RtadSoc::run_until(sim::Picoseconds deadline_ps) {
-  sim_.run_until(deadline_ps);
-}
-
 sim::Picoseconds RtadSoc::run_while(const std::function<bool()>& keep_going,
                                     sim::Picoseconds deadline_ps) {
   return sim_.run_while(keep_going, deadline_ps);

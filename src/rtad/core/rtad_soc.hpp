@@ -66,7 +66,6 @@ class RtadSoc {
   /// Run until the host has retired `n` program instructions (or deadline).
   void run_for_instructions(std::uint64_t n,
                             sim::Picoseconds deadline_ps = UINT64_MAX);
-  void run_until(sim::Picoseconds deadline_ps);
   /// Run until predicate or deadline.
   sim::Picoseconds run_while(const std::function<bool()>& keep_going,
                              sim::Picoseconds deadline_ps);

@@ -69,9 +69,6 @@ class ComputeUnit {
   void set_retained(const std::vector<bool>* retained) noexcept {
     retained_ = retained;
   }
-  void set_coverage(std::vector<std::uint64_t>* coverage) noexcept {
-    coverage_ = coverage;
-  }
 
  private:
   void record_coverage(const Instruction& inst);

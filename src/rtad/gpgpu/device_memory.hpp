@@ -54,7 +54,7 @@ class DeviceMemory final : public bus::Slave {
   // instead, so the fault fires on the same lane with the same counter
   // values as the cycle-level interpreter.
   bool ok32(std::uint64_t addr) const noexcept {
-    return addr % 4 == 0 && addr + 4 <= bytes_.size();
+    return addr % 4 == 0 && addr <= bytes_.size() - 4;
   }
   std::uint32_t peek32(std::uint64_t addr) const noexcept {
     std::uint32_t v;
@@ -80,8 +80,10 @@ class DeviceMemory final : public bus::Slave {
   std::uint64_t writes() const noexcept { return writes_; }
 
  private:
+  // `addr > size - 4`, not `addr + 4 > size`: the sum wraps for addresses
+  // within 4 of 2^64. The constructor guarantees size >= 4.
   void check(std::uint64_t addr) const {
-    if (addr % 4 != 0 || addr + 4 > bytes_.size()) fail(addr);
+    if (addr % 4 != 0 || addr > bytes_.size() - 4) fail(addr);
   }
   [[noreturn]] void fail(std::uint64_t addr) const;
   std::vector<std::uint8_t> bytes_;

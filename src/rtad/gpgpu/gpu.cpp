@@ -53,11 +53,6 @@ void Gpu::set_trim(std::optional<std::vector<bool>> retained) {
   }
 }
 
-void Gpu::set_coverage_enabled(bool on) {
-  config_.collect_coverage = on;
-  for (auto& cu : cus_) cu->set_coverage(on ? &coverage_ : nullptr);
-}
-
 void Gpu::reset_coverage() {
   std::fill(coverage_.begin(), coverage_.end(), 0);
 }

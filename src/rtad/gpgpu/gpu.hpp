@@ -125,7 +125,6 @@ class Gpu final : public sim::Component {
     return retained_;
   }
 
-  void set_coverage_enabled(bool on);
   const std::vector<std::uint64_t>& coverage() const noexcept {
     return coverage_;
   }

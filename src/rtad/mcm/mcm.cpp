@@ -15,11 +15,11 @@ Mcm::Mcm(McmConfig config, igm::Igm& igm, gpgpu::Gpu& gpu,
       gpu_(gpu),
       converter_(config.converter),
       driver_(gpu, converter_),
+      // TX/RX engines reach ML-MIAOW's internal memory through the AXI
+      // interconnect (identity-mapped: bus address == memory offset).
+      bus_(gpu.memory(), "ml-miaow-mem"),
       faults_(faults),
       input_fifo_(config.fifo_depth, config.drop_policy) {
-  // TX/RX engines reach ML-MIAOW's internal memory through the AXI
-  // interconnect (identity-mapped: bus address == memory offset).
-  bus_.map("ml-miaow-mem", 0, gpu_.memory().size(), gpu_.memory());
   bus_.set_fault_injector(faults);
   // Wake the fabric domain when a kernel finishes so the kWaitDone poll
   // resumes on the next fabric edge after completion.

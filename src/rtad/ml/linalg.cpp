@@ -104,13 +104,6 @@ Matrix ridge_solve(Matrix a, float lambda, const Matrix& b) {
   return x;
 }
 
-float dot(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot shape");
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 float squared_distance(const Vector& a, const Vector& b) {
   if (a.size() != b.size()) throw std::invalid_argument("distance shape");
   float acc = 0.0f;
@@ -133,7 +126,5 @@ void softmax(Vector& v) {
 }
 
 float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
-
-float tanh_approx(float x) noexcept { return std::tanh(x); }
 
 }  // namespace rtad::ml

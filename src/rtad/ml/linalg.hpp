@@ -58,13 +58,11 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// B is n x m; returns X (n x m). Throws if A is not positive definite.
 Matrix ridge_solve(Matrix a, float lambda, const Matrix& b);
 
-float dot(const Vector& a, const Vector& b);
 float squared_distance(const Vector& a, const Vector& b);
 
 /// Numerically stable softmax (in place).
 void softmax(Vector& v);
 
 float sigmoid(float x) noexcept;
-float tanh_approx(float x) noexcept;
 
 }  // namespace rtad::ml

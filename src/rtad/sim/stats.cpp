@@ -31,24 +31,9 @@ void Sampler::merge(const Sampler& other) {
   max_ = was_empty ? other.max_ : std::max(max_, other.max_);
 }
 
-void StatsRegistry::merge(const StatsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
-  for (const auto& [name, s] : other.samplers_) samplers_[name].merge(s);
-}
-
 void StatsRegistry::reset() {
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, s] : samplers_) s.reset();
-}
-
-void StatsRegistry::dump(std::ostream& os) const {
-  for (const auto& [name, c] : counters_) {
-    os << name << " = " << c.value() << '\n';
-  }
-  for (const auto& [name, s] : samplers_) {
-    os << name << ": n=" << s.count() << " mean=" << s.mean()
-       << " min=" << s.min() << " max=" << s.max() << '\n';
-  }
 }
 
 double geometric_mean(const std::vector<double>& values) {

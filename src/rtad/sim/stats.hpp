@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -16,9 +15,6 @@ class Counter {
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
   std::uint64_t value() const noexcept { return value_; }
   void reset() noexcept { value_ = 0; }
-  /// Fold another counter in (aggregating per-run stats after a parallel
-  /// experiment fan-out).
-  void merge(const Counter& other) noexcept { value_ += other.value_; }
 
  private:
   std::uint64_t value_ = 0;
@@ -84,10 +80,6 @@ class StatsRegistry {
   }
 
   void reset();
-  /// Fold another registry in: counters add, samplers append. Names only
-  /// present in `other` are created.
-  void merge(const StatsRegistry& other);
-  void dump(std::ostream& os) const;
 
  private:
   std::map<std::string, Counter> counters_;

@@ -392,8 +392,8 @@ TEST(FastPathFallback, CoverageCollectionForcesCyclePath) {
     GpuConfig cfg;
     cfg.memory_bytes = 1u << 16;
     cfg.backend = backends[i];
+    cfg.collect_coverage = true;
     Gpu gpu(cfg);
-    gpu.set_coverage_enabled(true);
     LaunchConfig launch;
     launch.program = &prog;
     gpu.launch(launch);

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "rtad/bus/interconnect.hpp"
-#include "rtad/bus/memory.hpp"
 #include "rtad/coresight/tpiu.hpp"
 #include "rtad/fault/fault_injector.hpp"
+#include "rtad/gpgpu/device_memory.hpp"
 #include "rtad/mcm/mcm.hpp"
 #include "rtad/ml/kernels.hpp"
 #include "rtad/sim/fifo.hpp"
@@ -361,16 +361,14 @@ TEST(TpiuFaults, CountersStayZeroWithoutInjector) {
 // ---------------------------------------------- Interconnect penalties
 
 TEST(InterconnectFaults, ErrorRetriesCostCyclesButPreserveData) {
-  bus::Memory mem(1024);
-  bus::Interconnect clean;
-  clean.map("mem", 0, 1024, mem);
+  gpgpu::DeviceMemory mem(1024);
+  bus::Interconnect clean(mem, "mem");
   const std::uint32_t clean_cost = clean.write32(0, 1);
 
   FaultPlan plan;
   plan.set_rate(FaultSite::kBusError, 1.0);
   FaultInjector fi(plan, 3);
-  bus::Interconnect faulty;
-  faulty.map("mem", 0, 1024, mem);
+  bus::Interconnect faulty(mem, "mem");
   faulty.set_fault_injector(&fi);
 
   // The calibrated return cost is unchanged; the retry surfaces only
@@ -386,13 +384,12 @@ TEST(InterconnectFaults, ErrorRetriesCostCyclesButPreserveData) {
 }
 
 TEST(InterconnectFaults, DelayAddsConfiguredCycles) {
-  bus::Memory mem(64);
+  gpgpu::DeviceMemory mem(64);
   FaultPlan plan;
   plan.set_rate(FaultSite::kBusDelay, 1.0);
   plan.bus_delay_cycles = 13;
   FaultInjector fi(plan, 3);
-  bus::Interconnect bus;
-  bus.map("mem", 0, 64, mem);
+  bus::Interconnect bus(mem, "mem");
   bus.set_fault_injector(&fi);
   bus.write32(0, 7);
   EXPECT_EQ(bus.consume_fault_penalty(), 13u);

@@ -1,12 +1,14 @@
-// GPGPU tests: assembler, interpreter semantics, CU scheduling, dispatch,
-// coverage recording and trim faulting.
+// GPGPU tests: device memory bounds, assembler, interpreter semantics, CU
+// scheduling, dispatch, coverage recording and trim faulting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "rtad/gpgpu/assembler.hpp"
+#include "rtad/gpgpu/device_memory.hpp"
 #include "rtad/gpgpu/gpu.hpp"
 #include "rtad/gpgpu/rtl_inventory.hpp"
 
@@ -38,6 +40,22 @@ std::unique_ptr<Gpu> run_kernel(const Program& prog,
   gpu->launch(launch);
   gpu->run_to_completion();
   return gpu;
+}
+
+TEST(DeviceMemory, EveryWordPastTheLastIsOutOfRange) {
+  DeviceMemory mem(64);
+  EXPECT_TRUE(mem.ok32(60));
+  mem.write32(60, 7);
+  EXPECT_EQ(mem.read32(60), 7u);
+  EXPECT_THROW(mem.read32(2), std::invalid_argument);
+  // addr + 4 wraps to a small number for the last two aligned addresses;
+  // the bound must still reject them by name rather than touch the buffer.
+  for (const std::uint64_t addr :
+       {64ull, 0xFFFF'FFFF'FFFF'FFF8ull, 0xFFFF'FFFF'FFFF'FFFCull}) {
+    EXPECT_THROW(mem.read32(addr), std::out_of_range) << addr;
+    EXPECT_THROW(mem.write32(addr, 7), std::out_of_range) << addr;
+    EXPECT_FALSE(mem.ok32(addr)) << addr;
+  }
 }
 
 TEST(Assembler, ParsesDirectivesAndLabels) {

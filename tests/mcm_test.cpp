@@ -2,6 +2,11 @@
 // costs, FIFO overflow behaviour, interrupt firing.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rtad/mcm/mcm.hpp"
 #include "rtad/ml/kernels.hpp"
 #include "rtad/sim/rng.hpp"
@@ -183,6 +188,61 @@ TEST(Mcm, TxCyclesReflectPayloadSize) {
   h.push_branch(0x50);
   h.run(3000);
   // 1-word payload through the converter: sync_stages + 1*fabric_per_gpu.
+  EXPECT_EQ(h.mcm->last_tx_cycles(), 5u);
+}
+
+/// The value of `"key":` in one Chrome-trace event line, unquoted.
+std::string json_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  std::size_t begin = at + tag.size();
+  std::size_t end = line.find_first_of(",}", begin);
+  if (line[begin] == '"') end = line.find('"', ++begin);
+  return line.substr(begin, end - begin);
+}
+
+/// (name, duration in us) of every span on the named track, in export
+/// order.
+std::vector<std::pair<std::string, std::string>> spans_on(
+    const obs::TraceSink& sink, const std::string& track) {
+  std::ostringstream os;
+  sink.write_chrome_json(os);
+  std::istringstream in(os.str());
+  std::string line;
+  std::string tid;
+  std::vector<std::pair<std::string, std::string>> spans;
+  while (std::getline(in, line)) {
+    if (line.find("\"args\":{\"name\":\"" + track + "\"}") !=
+        std::string::npos) {
+      tid = json_field(line, "tid");
+    } else if (!tid.empty() && json_field(line, "ph") == "X" &&
+               json_field(line, "tid") == tid) {
+      spans.emplace_back(json_field(line, "name"), json_field(line, "dur"));
+    }
+  }
+  return spans;
+}
+
+TEST(Mcm, AxiSpansCarryTheRegionNameAndCalibratedCosts) {
+  Harness h;
+  obs::Observer ob(/*enable_trace=*/true);
+  h.mcm->set_observability(ob, "fabric");
+  h.push_branch(0x50);
+  h.run(3000);
+  ASSERT_EQ(h.mcm->inferences_completed(), 1u);
+  // The TX engine writes the 1-word vector as one burst (arbitration 2 +
+  // 1 beat = 3 cycles), the RX engine reads the flag and score words
+  // (2 + 2 = 4 cycles each), at the 125 MHz fabric clock (8 ns a cycle).
+  // Unattached to a simulator, every span starts at 0 and the export
+  // orders them by name.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"rd:ml-miaow-mem", "0.032000"},
+      {"rd:ml-miaow-mem", "0.032000"},
+      {"wr_burst:ml-miaow-mem", "0.024000"}};
+  EXPECT_EQ(spans_on(*ob.sink(), "mcm.axi"), expected);
+  // Step 3 of Fig. 7 is the protocol converter's cost, not the bus's:
+  // 2 sync stages + 1 word x 3 fabric cycles.
   EXPECT_EQ(h.mcm->last_tx_cycles(), 5u);
 }
 

@@ -205,6 +205,17 @@ EOF
       RTAD_JOBS=8
     same degrade-dense-j1.txt degrade-event-j8.txt
     same degrade-dense-j1.json degrade-event-j8.json
+    # The deepest overload point reaches both overload paths: the shed
+    # policy sheds and the degrade policy degrades.
+    python3 - "${ref}.json" degrade-dense-j1.json <<'EOF' ||
+import json, sys
+def deepest(path):
+    return json.load(open(path))["points"][-1]["service"]["fleet"]
+shed, degrade = deepest(sys.argv[1]), deepest(sys.argv[2])
+assert shed["serve.sessions_shed"] > 0, shed
+assert degrade["serve.sessions_degraded"] > 0, degrade
+EOF
+      fail "deepest load shed nothing under shed or degraded nothing under degrade"
     # With no serve fault plan and no retry budget the fleet document has
     # no failure section: the pre-failover surface is intact.
     ! grep -q '"failure"' "${ref}.json" || fail "zero-fault JSON has failure"
