@@ -18,20 +18,6 @@ using namespace rtad;
 
 namespace {
 
-std::uint64_t inference_cycles(const ml::ModelImage& image,
-                               std::uint32_t num_cus,
-                               const std::vector<std::uint32_t>& payload) {
-  gpgpu::GpuConfig cfg;
-  cfg.num_cus = num_cus;
-  gpgpu::Gpu gpu(cfg);
-  ml::load_image(gpu, image);
-  // Warm once (state kernels), then measure.
-  ml::run_inference_offline(gpu, image, payload);
-  const auto before = gpu.total_cycles();
-  ml::run_inference_offline(gpu, image, payload);
-  return gpu.total_cycles() - before;
-}
-
 int run() {
   std::cout << "ABLATION: INFERENCE LATENCY vs CU COUNT (GPU cycles @50 MHz)\n\n";
 
@@ -68,8 +54,9 @@ int run() {
   // (cus = i/2 + 1, model = i%2) so results come back in table order.
   const auto sweep = runner.run_indexed(12, [&](std::size_t i) {
     const auto cus = static_cast<std::uint32_t>(i / 2 + 1);
-    return i % 2 == 0 ? inference_cycles(elm_image, cus, elm_payload)
-                      : inference_cycles(lstm_image, cus, {3u});
+    return i % 2 == 0
+               ? bench::offline_inference_cycles(elm_image, cus, elm_payload)
+               : bench::offline_inference_cycles(lstm_image, cus, {3u});
   });
 
   core::Table table({"CUs", "ELM cycles", "ELM us", "ELM speedup",

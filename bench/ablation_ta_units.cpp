@@ -5,6 +5,7 @@
 // plus the area cost of each configuration.
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/igm/igm.hpp"
 #include "rtad/sim/rng.hpp"
@@ -14,7 +15,9 @@
 
 using namespace rtad;
 
-int main() {
+namespace {
+
+int run() {
   std::cout << "ABLATION: TRACE ANALYZER WIDTH (TA units)\n\n";
   const auto& profile = workloads::find_profile("omnetpp");
 
@@ -75,3 +78,7 @@ int main() {
                "port, which is why the IGM instantiates four (§III-A).\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("ablation_ta_units", run); }

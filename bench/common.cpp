@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "rtad/core/env.hpp"
+#include "rtad/ml/kernel_compiler.hpp"
 
 namespace rtad::bench {
 
@@ -22,21 +23,14 @@ namespace {
 constexpr std::string_view kKnobs[] = {
     "RTAD_BACKEND",
     "RTAD_BENCH_JSON",
-    "RTAD_ENSEMBLE_QUORUM",
-    "RTAD_ENSEMBLE_RETRAIN_US",
-    "RTAD_ENSEMBLE_SIZE",
-    "RTAD_ENSEMBLE_WINDOW",
     "RTAD_FAULTS",
     "RTAD_JOBS",
     "RTAD_METRICS",
     "RTAD_SCHED",
-    "RTAD_SERVE_CHECKPOINT_CAP_KB",
     "RTAD_SERVE_POLICY",
-    "RTAD_SERVE_RETRY",
     "RTAD_SMOKE",
     "RTAD_TELEMETRY",
     "RTAD_TELEMETRY_CAP_KB",
-    "RTAD_TELEMETRY_PAGE",
     "RTAD_TRACE",
     "RTAD_TRACE_PROTO",
 };
@@ -80,6 +74,19 @@ std::shared_ptr<core::TrainedModelCache> model_cache(
   return std::make_shared<core::TrainedModelCache>(
       smoke() ? reduced_training() : core::TrainingOptions{},
       std::move(resolver));
+}
+
+std::uint64_t offline_inference_cycles(
+    const ml::ModelImage& image, std::uint32_t num_cus,
+    const std::vector<std::uint32_t>& payload) {
+  gpgpu::GpuConfig cfg;
+  cfg.num_cus = num_cus;
+  gpgpu::Gpu gpu(cfg);
+  ml::load_image(gpu, image);
+  ml::run_inference_offline(gpu, image, payload);
+  const auto before = gpu.total_cycles();
+  ml::run_inference_offline(gpu, image, payload);
+  return gpu.total_cycles() - before;
 }
 
 void write_json(const char* bench, const char* default_path,

@@ -12,9 +12,11 @@
 // does any set RTAD_* variable that no entry point reads (a stale knob).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/obs/json.hpp"
@@ -33,6 +35,12 @@ core::TrainingOptions reduced_training();
 /// A model cache. Under smoke() it trains on reduced_training().
 std::shared_ptr<core::TrainedModelCache> model_cache(
     core::TrainedModelCache::ProfileResolver resolver = {});
+
+/// GPU cycles of one offline inference of `image` on a fresh `num_cus`-CU
+/// engine, measured after one warm-up inference (state kernels).
+std::uint64_t offline_inference_cycles(
+    const ml::ModelImage& image, std::uint32_t num_cus,
+    const std::vector<std::uint32_t>& payload);
 
 using JsonBody = std::function<void(obs::JsonWriter&)>;
 

@@ -16,11 +16,11 @@
 //
 // The workload is astar with Zipf s=1.2 tenant skew, storm intensities 0.3
 // and 0.9, seed 2026: 24 sessions from 10 tenants, or under RTAD_SMOKE=1
-// 10 sessions from 6 tenants on the reduced corpus. Environment knobs: the
-// fleet-shape and failover knobs parsed by ServiceConfig::from_env
-// (RTAD_SERVE_POLICY / RETRY / CHECKPOINT_CAP_KB); RTAD_SMOKE and
-// RTAD_BENCH_JSON (default BENCH_serve_failover.json) as in
-// bench/common.hpp; and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and
+// 10 sessions from 6 tenants on the reduced corpus; every storm fleet
+// re-offers a refused request up to 6 times. Environment knobs: those
+// parsed by ServiceConfig::from_env (RTAD_SERVE_POLICY, RTAD_SCHED, ...);
+// RTAD_SMOKE and RTAD_BENCH_JSON (default BENCH_serve_failover.json) as in
+// bench/common.hpp; and RTAD_JOBS as everywhere. stdout and
 // the JSON artifact are byte-identical across both schedulers and any
 // worker count; wall-clock and ru_maxrss diagnostics go to stderr only.
 #include <sys/resource.h>
@@ -83,10 +83,10 @@ int run() {
   scfg.detection.attacks = 1;
   scfg.detection.trace_path.clear();
   scfg.detection.metrics_path.clear();
-  // The sweep owns the fault plan; whatever RTAD_FAULTS says about serve.*
-  // applies shape parameters only (rates come from the storm intensity).
+  // The sweep owns the serve fault plan: each storm point replaces the
+  // serve.* keys of RTAD_FAULTS with its own plan.
   scfg.serve_faults = fault::ServeFaultPlan{};
-  if (scfg.retry_budget == 0) scfg.retry_budget = 6;
+  scfg.retry_budget = 6;
 
   const auto cache = bench::model_cache();
   std::cout << "SERVE FAILOVER: FAULT STORM VS CHECKPOINTED RECOVERY\n\n";
@@ -180,12 +180,6 @@ int run() {
     gates.check(p.zero_divergence,
                 storm + " diverged " + std::to_string(p.divergent) +
                     " verdict(s) from the baseline fleet");
-    // The parked footprint must respect a configured cap (0 = unbounded).
-    const std::uint64_t cap_bytes = storm_cfg.checkpoint_cap_kb * 1024;
-    gates.check(cap_bytes == 0 || p.report.parked_bytes_hwm <= cap_bytes,
-                storm + " parked bytes " +
-                    std::to_string(p.report.parked_bytes_hwm) +
-                    " exceed the cap " + std::to_string(cap_bytes));
     points.push_back(std::move(p));
   }
   // The deepest storm must actually exercise the fault domain.

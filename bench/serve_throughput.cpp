@@ -19,11 +19,10 @@
 // from 12 tenants at offered loads 0.5 / 1.5 / 6, or under RTAD_SMOKE=1 16
 // sessions from 3 tenants at loads 0.5 / 6 on the reduced corpus (the
 // smallest shape that still sheds at load 6 under the shed policy and
-// degrades under degrade). Environment knobs: the fleet shape parsed
-// by ServiceConfig::from_env (RTAD_SERVE_POLICY / RETRY /
-// CHECKPOINT_CAP_KB), RTAD_SMOKE and RTAD_BENCH_JSON (default
-// BENCH_serve.json) as in bench/common.hpp, and RTAD_JOBS / RTAD_SCHED as
-// everywhere. stdout and BENCH_serve.json are
+// degrades under degrade). Environment knobs: those parsed by
+// ServiceConfig::from_env (RTAD_SERVE_POLICY, RTAD_SCHED, ...), RTAD_SMOKE
+// and RTAD_BENCH_JSON (default BENCH_serve.json) as in bench/common.hpp,
+// and RTAD_JOBS as everywhere. stdout and BENCH_serve.json are
 // byte-identical across both schedulers and any worker count; wall-clock
 // diagnostics go to stderr.
 #include <algorithm>

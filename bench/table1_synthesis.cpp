@@ -4,12 +4,15 @@
 // of the default RTAD configuration (4 TA units, 5-CU trimmed ML-MIAOW).
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/trim/area_model.hpp"
 
-int main() {
-  using namespace rtad;
+using namespace rtad;
 
+namespace {
+
+int run() {
   trim::MlpuStructure structure;
   structure.retained = gpgpu::RtlInventory::instance().ml_retained();
   const auto rows = trim::build_table1(structure);
@@ -43,3 +46,7 @@ int main() {
                "1,927,294 GE\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run("table1_synthesis", run); }

@@ -8,6 +8,7 @@
 // engine.
 #include <iostream>
 
+#include "common.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/dataset.hpp"
 #include "rtad/ml/kernel_compiler.hpp"
@@ -48,9 +49,7 @@ trim::CoverageDb collect_coverage(const ml::ModelImage& image) {
   return trim::CoverageDb::from_gpu(gpu);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "TABLE II: TRIMMING RESULT OF ML-MIAOW\n"
             << "(coverage-driven flow on the deployed LSTM model, as in "
                "the paper's fair comparison)\n\n";
@@ -104,3 +103,7 @@ int main() {
             << verdict.max_score_delta << ")\n";
   return verdict.passed ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run("table2_trimming", run); }

@@ -24,10 +24,10 @@
 // 10^5 tenants (2 * 10^4 under RTAD_SMOKE=1, see bench/common.hpp) each
 // stream 24 samples; the first query repeats 32 times for the latency
 // distribution; the seed is 2026. Environment knobs: RTAD_SMOKE;
-// RTAD_BENCH_JSON (default BENCH_telemetry.json); plus the store shape via
-// RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE, read by
-// serve::ServiceConfig::from_env (bench defaults: no spill, 32 MiB cap,
-// 8-sample pages); RTAD_JOBS sizes the synthesis pool.
+// RTAD_BENCH_JSON (default BENCH_telemetry.json); plus the spill path and
+// byte cap via RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB, read by
+// serve::ServiceConfig::from_env (bench defaults: no spill, 32 MiB cap);
+// RTAD_JOBS sizes the synthesis pool. Pages hold 8 samples.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -136,9 +136,9 @@ int run() {
 
   telemetry::StoreConfig store_cfg =
       serve::ServiceConfig::from_env().telemetry;
-  // Bench defaults tuned so pages actually seal and the cap actually
-  // evicts; explicit env settings win.
-  if (!core::env::raw("RTAD_TELEMETRY_PAGE")) store_cfg.page_samples = 8;
+  // Small pages so pages actually seal, and a default cap that actually
+  // evicts; an explicit RTAD_TELEMETRY_CAP_KB wins.
+  store_cfg.page_samples = 8;
   if (!core::env::raw("RTAD_TELEMETRY_CAP_KB")) {
     store_cfg.cap_bytes = 32ull * 1024 * 1024;
   }

@@ -1,5 +1,5 @@
 // Byte-stable blob codec shared by the versioned binary formats
-// (RTADCKP1/2 session checkpoints, RTADTEL1 telemetry pages): little-endian
+// (RTADCKP2 session checkpoints, RTADTEL1 telemetry pages): little-endian
 // fixed-width fields, u32-length-prefixed strings, and a trailing FNV-1a
 // digest over everything before it.
 //

@@ -22,14 +22,6 @@ bool leading_space(const std::string& v) {
   return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) != 0;
 }
 
-/// The " <= max" clause of an integer knob's expected grammar; empty when
-/// only the integer type bounds the value.
-std::string at_most(std::uint64_t max) {
-  std::string clause;
-  if (max != UINT64_MAX) clause.append(" <= ").append(std::to_string(max));
-  return clause;
-}
-
 void check_choice(const char* name, const std::string& value,
                   std::initializer_list<const char*> allowed) {
   std::string expected = "one of";
@@ -53,16 +45,15 @@ std::string string_or(const char* name, std::string fallback) {
   return v ? std::move(*v) : std::move(fallback);
 }
 
-std::size_t positive_or(const char* name, std::size_t fallback,
-                        std::uint64_t max) {
+std::size_t positive_or(const char* name, std::size_t fallback) {
   const auto v = raw(name);
   if (!v) return fallback;
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
   if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
-      parsed <= 0 || static_cast<unsigned long long>(parsed) > max) {
-    reject(name, *v, std::string("a positive integer") + at_most(max));
+      parsed <= 0) {
+    reject(name, *v, "a positive integer");
   }
   return static_cast<std::size_t>(parsed);
 }
@@ -76,7 +67,9 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback,
   const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
   if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
       (*v)[0] == '-' || parsed > max) {
-    reject(name, *v, std::string("a non-negative integer") + at_most(max));
+    std::string expected = "a non-negative integer";
+    if (max != UINT64_MAX) expected.append(" <= ").append(std::to_string(max));
+    reject(name, *v, expected);
   }
   return static_cast<std::uint64_t>(parsed);
 }

@@ -14,11 +14,10 @@
 //   * The value must be consumed in full — trailing garbage is an error.
 //
 // Only the entry points call these helpers: DetectionOptions::from_env,
-// EnsembleParams::from_env, serve::ServiceConfig::from_env, the `jobs == 0`
-// of ExperimentRunner / serve::Service (core::resolve_jobs), and the bench
-// mains (RTAD_SMOKE and RTAD_BENCH_JSON through bench/common). The layers
-// below core never read the environment; their config structs default to
-// constants.
+// serve::ServiceConfig::from_env, the `jobs == 0` of ExperimentRunner /
+// serve::Service (core::resolve_jobs), and the bench mains (RTAD_SMOKE and
+// RTAD_BENCH_JSON through bench/common). The layers below core never read
+// the environment; their config structs default to constants.
 #pragma once
 
 #include <cstddef>
@@ -36,11 +35,10 @@ std::optional<std::string> raw(const char* name);
 /// empty-means-unset rule.
 std::string string_or(const char* name, std::string fallback);
 
-/// Strictly positive integer knob (worker counts, capacities) of at most
-/// `max`. Throws std::invalid_argument on non-numeric, zero, negative,
-/// too-large, or trailing-garbage values.
-std::size_t positive_or(const char* name, std::size_t fallback,
-                        std::uint64_t max = UINT64_MAX);
+/// Strictly positive integer knob (worker counts). Throws
+/// std::invalid_argument on non-numeric, zero, negative, out-of-range, or
+/// trailing-garbage values.
+std::size_t positive_or(const char* name, std::size_t fallback);
 
 /// Unsigned integer knob (zero allowed) of at most `max` — pass
 /// UINT64_MAX / scale for a knob the caller multiplies by `scale`, so the

@@ -1,8 +1,6 @@
 #include "rtad/core/experiment.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/env.hpp"
@@ -26,24 +24,6 @@ std::vector<float> lstm_ewma_scores(const ml::Lstm& lstm,
 }
 
 }  // namespace
-
-EnsembleParams EnsembleParams::from_env() {
-  constexpr std::uint64_t kMaxUs = UINT64_MAX / sim::kPsPerUs;
-  EnsembleParams p;
-  p.size = static_cast<std::uint32_t>(
-      env::positive_or("RTAD_ENSEMBLE_SIZE", 1, UINT32_MAX));
-  p.quorum = static_cast<std::uint32_t>(
-      env::u64_or("RTAD_ENSEMBLE_QUORUM", 0, UINT32_MAX));
-  p.retrain_ps =
-      env::u64_or("RTAD_ENSEMBLE_RETRAIN_US", 0, kMaxUs) * sim::kPsPerUs;
-  p.window_ps = env::u64_or("RTAD_ENSEMBLE_WINDOW", 0, kMaxUs) * sim::kPsPerUs;
-  if (p.quorum > p.size) {
-    throw std::invalid_argument(
-        "RTAD_ENSEMBLE_QUORUM (" + std::to_string(p.quorum) +
-        ") exceeds RTAD_ENSEMBLE_SIZE (" + std::to_string(p.size) + ")");
-  }
-  return p;
-}
 
 DetectionOptions DetectionOptions::from_env() {
   DetectionOptions o;

@@ -76,18 +76,6 @@ struct EnsembleParams {
   sim::Picoseconds window_ps = 0;   ///< training window; 0 = retrain_ps
   sim::Picoseconds base_ps = 0;     ///< fleet-time origin of the schedule
 
-  /// Resolve the RTAD_ENSEMBLE_* knobs (strict core::env grammar):
-  ///   RTAD_ENSEMBLE_SIZE        member generations kept live        (1)
-  ///   RTAD_ENSEMBLE_QUORUM      members that must flag; 0 = all     (0)
-  ///   RTAD_ENSEMBLE_RETRAIN_US  generation cadence, simulated us; 0
-  ///                             disables the ensemble layer         (0)
-  ///   RTAD_ENSEMBLE_WINDOW      training window, simulated us; 0 =
-  ///                             the retrain cadence                 (0)
-  /// Throws std::invalid_argument on malformed values, a size or quorum
-  /// above UINT32_MAX, a cadence or window that overflows picoseconds, or
-  /// a quorum larger than the ensemble size.
-  static EnsembleParams from_env();
-
   bool active() const noexcept { return retrain_ps != 0 && size != 0; }
   std::uint32_t generation_at(sim::Picoseconds session_ps) const noexcept {
     return active() ? static_cast<std::uint32_t>((base_ps + session_ps) /

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "rtad/core/experiment_runner.hpp"
@@ -17,6 +18,13 @@ Quorum::Quorum(const EnsembleParams& params, ModelKind kind,
       benchmark_(std::move(benchmark)),
       anchor_(&anchor),
       generations_(generations) {
+  // Checked before the inert return: a checkpoint carries the pair either
+  // way, and SessionCheckpoint::parse refuses it.
+  if (params_.quorum > params_.size) {
+    throw std::invalid_argument(
+        "Quorum: ensemble.quorum (" + std::to_string(params_.quorum) +
+        ") exceeds ensemble.size (" + std::to_string(params_.size) + ")");
+  }
   if (!params_.active()) return;
   if (generations_ == nullptr) {
     throw std::invalid_argument(

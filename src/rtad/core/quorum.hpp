@@ -35,8 +35,10 @@ class Quorum {
   /// Seats the `params.size` most recent generations as of session time 0.
   /// Generation 0 is `anchor` — the very models the device image was
   /// compiled from; later generations of (`benchmark`, `kind`) come from
-  /// `generations`, which must be non-null when `params` is active (throws
-  /// std::invalid_argument otherwise) and must outlive the quorum.
+  /// `generations`, which must be non-null when `params` is active and
+  /// must outlive the quorum. Throws std::invalid_argument on a null cache
+  /// for active params, or on `params.quorum > params.size` (active or
+  /// not), which no checkpoint could carry.
   Quorum(const EnsembleParams& params, ModelKind kind, std::string benchmark,
          const TrainedModels& anchor, GenerationCache* generations);
 

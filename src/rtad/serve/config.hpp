@@ -74,9 +74,9 @@ struct ServiceConfig {
   /// store itself lives on the ServiceReport; ingestion is always on.
   telemetry::StoreConfig telemetry{};
 
-  /// Rolling-ensemble shape applied to every tenant session.
-  /// from_env() resolves the RTAD_ENSEMBLE_* knobs; inactive by default —
-  /// the fleet then runs byte-identical to the pre-ensemble service.
+  /// Rolling-ensemble shape applied to every tenant session. Inactive by
+  /// default — the fleet then runs byte-identical to the pre-ensemble
+  /// service.
   /// base_ps is ignored here: each shard stamps it per request with the
   /// origin arrival, anchoring the retrain cadence to the fleet clock.
   core::EnsembleParams ensemble{};
@@ -88,11 +88,8 @@ struct ServiceConfig {
   ///                         RTAD_TRACE, RTAD_METRICS)
   ///   serve_faults, fault_seed   serve.* keys of that RTAD_FAULTS plan
   ///   policy                RTAD_SERVE_POLICY=shed|degrade
-  ///   retry_budget          RTAD_SERVE_RETRY
-  ///   checkpoint_cap_kb     RTAD_SERVE_CHECKPOINT_CAP_KB
   ///   telemetry             RTAD_TELEMETRY (spill path),
-  ///                         RTAD_TELEMETRY_CAP_KB, RTAD_TELEMETRY_PAGE
-  ///   ensemble              EnsembleParams::from_env (RTAD_ENSEMBLE_*)
+  ///                         RTAD_TELEMETRY_CAP_KB
   /// Every other field keeps the default above; set it in code.
   static ServiceConfig from_env();
 };

@@ -39,16 +39,9 @@ ServiceConfig ServiceConfig::from_env() {
                                     "shed") == "shed"
                    ? OverloadPolicy::kShed
                    : OverloadPolicy::kDegrade;
-  cfg.retry_budget = static_cast<std::size_t>(
-      core::env::u64_or("RTAD_SERVE_RETRY", cfg.retry_budget));
-  cfg.checkpoint_cap_kb = core::env::u64_or(
-      "RTAD_SERVE_CHECKPOINT_CAP_KB", cfg.checkpoint_cap_kb, kMaxKb);
   cfg.telemetry.spill_path = core::env::string_or("RTAD_TELEMETRY", "");
   cfg.telemetry.cap_bytes =
       core::env::u64_or("RTAD_TELEMETRY_CAP_KB", 0, kMaxKb) * 1024;
-  cfg.telemetry.page_samples = core::env::positive_or(
-      "RTAD_TELEMETRY_PAGE", cfg.telemetry.page_samples);
-  cfg.ensemble = core::EnsembleParams::from_env();
   return cfg;
 }
 

@@ -22,14 +22,9 @@
 //
 // Knobs (ServiceConfig::from_env, all parsed through core::env — malformed
 // values throw; a plain ServiceConfig reads none of them):
-//   RTAD_SERVE_POLICY      overload policy: shed|degrade   (default shed)
-//   RTAD_SERVE_RETRY            re-offer budget per refused request (0)
-//   RTAD_SERVE_CHECKPOINT_CAP_KB  parked-blob byte cap, KiB; 0 = off (0)
+//   RTAD_SERVE_POLICY           overload policy: shed|degrade (shed)
 //   RTAD_TELEMETRY              telemetry spill file (see telemetry/)
 //   RTAD_TELEMETRY_CAP_KB       telemetry resident byte cap, KiB  (0=off)
-//   RTAD_TELEMETRY_PAGE         tier-0 samples per telemetry page   (64)
-//   RTAD_ENSEMBLE_*             rolling ensemble per tenant (see
-//                               core::EnsembleParams::from_env)
 //   RTAD_SCHED, RTAD_BACKEND, RTAD_FAULTS, RTAD_TRACE_PROTO, ...
 //                               per-episode options (see
 //                               core::DetectionOptions::from_env)

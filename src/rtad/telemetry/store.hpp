@@ -43,8 +43,8 @@
 
 namespace rtad::telemetry {
 
-/// Plain data; serve::ServiceConfig::from_env fills it from RTAD_TELEMETRY
-/// (spill path), RTAD_TELEMETRY_CAP_KB and RTAD_TELEMETRY_PAGE.
+/// Plain data; serve::ServiceConfig::from_env fills spill_path and
+/// cap_bytes from RTAD_TELEMETRY and RTAD_TELEMETRY_CAP_KB.
 struct StoreConfig {
   std::size_t page_samples = 64;  ///< tier-0 samples per page, < 2^32
   std::size_t fanout = 16;        ///< tier-1 bins per tier-2 bin

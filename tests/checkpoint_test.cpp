@@ -249,7 +249,7 @@ TEST(SessionCheckpoint, ParseNamesOutOfRangeFields) {
        static_cast<std::uint8_t>(ckpt.options.backend), 2},
       {"options.proto", kinds + 48,
        static_cast<std::uint8_t>(ckpt.options.proto), 2},
-      // size 1, quorum 2: the combination EnsembleParams::from_env refuses.
+      // size 1, quorum 2: the combination Quorum's constructor refuses.
       {"ensemble.quorum", quorum, 0, 2},
   };
   for (const Case& c : cases) {

@@ -1,10 +1,9 @@
-// Rolling-ensemble suite (tier 2): knob grammar, generation cache
+// Rolling-ensemble suite (tier 2): shape validation, generation cache
 // semantics, and the headline determinism contracts.
 //
 // The contracts under test:
-//   1. RTAD_ENSEMBLE_* knobs follow the strict core::env grammar —
-//      malformed values and a quorum larger than the ensemble throw named
-//      errors, they never silently decay.
+//   1. A quorum larger than the ensemble is refused when the session's
+//      Quorum is built, active or inert — no checkpoint could carry it.
 //   2. Generation 0 *is* the anchor: the generation cache delegates to the
 //      base TrainedModelCache without retraining anything. A later
 //      generation is the base cache's entry for its drift phase — trained
@@ -29,6 +28,7 @@
 
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/experiment_runner.hpp"
+#include "rtad/core/quorum.hpp"
 #include "rtad/core/session_checkpoint.hpp"
 #include "rtad/ml/dataset.hpp"
 #include "rtad/serve/service.hpp"
@@ -106,58 +106,25 @@ void expect_identical(const core::DetectionResult& a,
   EXPECT_EQ(a.member_evals, b.member_evals);
 }
 
-class EnsembleEnv : public ::testing::Test {
- protected:
-  static constexpr const char* kVars[4] = {
-      "RTAD_ENSEMBLE_SIZE", "RTAD_ENSEMBLE_QUORUM",
-      "RTAD_ENSEMBLE_RETRAIN_US", "RTAD_ENSEMBLE_WINDOW"};
-  void SetUp() override { clear(); }
-  void TearDown() override { clear(); }
-  static void clear() {
-    for (const char* v : kVars) ASSERT_EQ(unsetenv(v), 0);
-  }
-  static void set(const char* var, const char* value) {
-    ASSERT_EQ(setenv(var, value, 1), 0);
-  }
-};
-
-TEST_F(EnsembleEnv, DefaultsAreInert) {
-  const core::EnsembleParams p = core::EnsembleParams::from_env();
-  EXPECT_EQ(p.size, 1u);
-  EXPECT_EQ(p.quorum, 0u);
-  EXPECT_EQ(p.retrain_ps, 0u);
-  EXPECT_EQ(p.window_ps, 0u);
-  EXPECT_FALSE(p.active());
-}
-
-TEST_F(EnsembleEnv, ParsesEveryKnob) {
-  set("RTAD_ENSEMBLE_SIZE", "5");
-  set("RTAD_ENSEMBLE_QUORUM", "3");
-  set("RTAD_ENSEMBLE_RETRAIN_US", "25000");
-  set("RTAD_ENSEMBLE_WINDOW", "10000");
-  const core::EnsembleParams p = core::EnsembleParams::from_env();
-  EXPECT_EQ(p.size, 5u);
-  EXPECT_EQ(p.quorum, 3u);
-  EXPECT_EQ(p.retrain_ps, sim::Picoseconds{25'000} * sim::kPsPerUs);
-  EXPECT_EQ(p.window_ps, sim::Picoseconds{10'000} * sim::kPsPerUs);
-  EXPECT_TRUE(p.active());
-}
-
-TEST_F(EnsembleEnv, MalformedAndInconsistentKnobsThrow) {
-  set("RTAD_ENSEMBLE_SIZE", "0");  // size is positive_or: zero is malformed
-  EXPECT_THROW(core::EnsembleParams::from_env(), std::invalid_argument);
-  clear();
-  set("RTAD_ENSEMBLE_RETRAIN_US", "fast");
-  EXPECT_THROW(core::EnsembleParams::from_env(), std::invalid_argument);
-  clear();
-  set("RTAD_ENSEMBLE_SIZE", "3");
-  set("RTAD_ENSEMBLE_QUORUM", "4");
-  try {
-    core::EnsembleParams::from_env();
-    FAIL() << "quorum > size must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("RTAD_ENSEMBLE_QUORUM"),
-              std::string::npos);
+TEST(EnsembleShape, QuorumAboveSizeIsRefusedInertOrActive) {
+  core::EnsembleParams ep;
+  ep.size = 1;
+  ep.quorum = 2;
+  const core::TrainedModels anchor;
+  core::GenerationCache generations(shared_cache(), ep);
+  for (const sim::Picoseconds cadence :
+       {sim::Picoseconds{0}, kDriftPeriodUs * sim::kPsPerUs}) {
+    ep.retrain_ps = cadence;
+    SCOPED_TRACE(ep.active() ? "active" : "inert");
+    try {
+      core::Quorum(ep, core::ModelKind::kElm, kDriftBench, anchor,
+                   &generations);
+      ADD_FAILURE() << "size 1, quorum 2 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ensemble.quorum"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -5,7 +5,7 @@
 // anything else must parse in full under the knob's grammar or throw
 // std::invalid_argument naming the variable — malformed knobs must never
 // silently decay to a default, and scaled knobs must never wrap. The knobs
-// enter only through DetectionOptions::from_env, EnsembleParams::from_env,
+// enter only through DetectionOptions::from_env,
 // serve::ServiceConfig::from_env and resolve_jobs; default-constructed
 // config structs read none of them.
 #include <gtest/gtest.h>
@@ -99,12 +99,10 @@ TEST_F(EnvTest, FlagOrIsZeroOrOne) {
   }
 }
 
-TEST_F(EnvTest, IntegerKnobsHonourTheirUpperBound) {
+TEST_F(EnvTest, U64OrHonoursItsUpperBound) {
   set("4294967295");
-  EXPECT_EQ(positive_or(kVar, 1, UINT32_MAX), 4294967295u);
   EXPECT_EQ(u64_or(kVar, 0, UINT32_MAX), 4294967295u);
   set("4294967296");
-  EXPECT_THROW(positive_or(kVar, 1, UINT32_MAX), std::invalid_argument);
   EXPECT_THROW(u64_or(kVar, 0, UINT32_MAX), std::invalid_argument);
 }
 
@@ -242,7 +240,6 @@ TEST_F(KnobTest, ServiceConfigBuildsOnOneFaultsParse) {
   set("RTAD_FAULTS", "trace.drop=0.5,serve.shard_crash=0.25,seed=7");
   set("RTAD_TELEMETRY", "spill.bin");
   set("RTAD_TELEMETRY_CAP_KB", "2");
-  set("RTAD_TELEMETRY_PAGE", "16");
   const serve::ServiceConfig cfg = serve::ServiceConfig::from_env();
   EXPECT_EQ(cfg.detection.proto, trace::TraceProtocol::kEtrace);
   EXPECT_EQ(cfg.proto, serve::FleetProtocol::kEtrace);
@@ -253,50 +250,28 @@ TEST_F(KnobTest, ServiceConfigBuildsOnOneFaultsParse) {
   EXPECT_EQ(cfg.fault_seed, 7u);
   EXPECT_EQ(cfg.telemetry.spill_path, "spill.bin");
   EXPECT_EQ(cfg.telemetry.cap_bytes, 2048u);
-  EXPECT_EQ(cfg.telemetry.page_samples, 16u);
 }
 
-TEST_F(KnobTest, ScaledAndNarrowedKnobsRejectValuesThatWouldWrap) {
-  struct Row {
-    const char* knob;
-    const char* value;
-  };
-  const Row rejected[] = {
-      {"RTAD_ENSEMBLE_RETRAIN_US", "18446744073710"},  // x10^6 wraps u64
-      {"RTAD_ENSEMBLE_WINDOW", "18446744073710"},
-      {"RTAD_TELEMETRY_CAP_KB", "18014398509481984"},  // x1024 wraps to 0
-      {"RTAD_TELEMETRY_CAP_KB", "18014398509481985"},
-      {"RTAD_SERVE_CHECKPOINT_CAP_KB", "18014398509481984"},
-      {"RTAD_ENSEMBLE_SIZE", "4294967296"},  // narrows to 0 in uint32
-      {"RTAD_ENSEMBLE_QUORUM", "4294967296"},
-  };
-  for (const Row& row : rejected) {
+TEST_F(KnobTest, ScaledKnobRejectsValuesThatWouldWrap) {
+  // x1024 wraps to 0 and past it.
+  for (const char* value : {"18014398509481984", "18014398509481985"}) {
     clear();
-    set(row.knob, row.value);
+    set("RTAD_TELEMETRY_CAP_KB", value);
     try {
       serve::ServiceConfig::from_env();
-      ADD_FAILURE() << row.knob << "=" << row.value << " accepted";
+      ADD_FAILURE() << "RTAD_TELEMETRY_CAP_KB=" << value << " accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(row.knob), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("RTAD_TELEMETRY_CAP_KB"),
+                std::string::npos)
           << e.what();
     }
   }
 
-  // The largest values that still fit are accepted unchanged.
+  // The largest value that still fits is accepted unchanged.
   clear();
-  set("RTAD_ENSEMBLE_RETRAIN_US", "18446744073709");
-  set("RTAD_ENSEMBLE_WINDOW", "18446744073709");
   set("RTAD_TELEMETRY_CAP_KB", "18014398509481983");
-  set("RTAD_SERVE_CHECKPOINT_CAP_KB", "18014398509481983");
-  set("RTAD_ENSEMBLE_SIZE", "4294967295");
-  set("RTAD_ENSEMBLE_QUORUM", "4294967295");
   const serve::ServiceConfig cfg = serve::ServiceConfig::from_env();
-  EXPECT_EQ(cfg.ensemble.retrain_ps, 18446744073709ULL * sim::kPsPerUs);
-  EXPECT_EQ(cfg.ensemble.window_ps, 18446744073709ULL * sim::kPsPerUs);
   EXPECT_EQ(cfg.telemetry.cap_bytes, 18014398509481983ULL * 1024);
-  EXPECT_EQ(cfg.checkpoint_cap_kb, 18014398509481983ULL);
-  EXPECT_EQ(cfg.ensemble.size, UINT32_MAX);
-  EXPECT_EQ(cfg.ensemble.quorum, UINT32_MAX);
 }
 
 }  // namespace

@@ -45,4 +45,13 @@ expect_exit2 serve_throughput RTAD_SERVE_POLICY bogus
 expect_exit2 fault_sweep RTAD_SMOKE yes
 # A knob this tree no longer reads: it used to trim fig8 to one benchmark.
 expect_exit2 fig8_detection RTAD_FIG8_BENCHMARKS astar
+# Knobs this tree no longer reads: the ensemble, retry, checkpoint-cap and
+# page-size fields are set in code by the callers that need them.
+expect_exit2 serve_throughput RTAD_ENSEMBLE_RETRAIN_US 5000
+expect_exit2 serve_failover RTAD_SERVE_RETRY 6
+expect_exit2 telemetry_query RTAD_TELEMETRY_PAGE 8
+# The benches with no knob of their own still refuse a stale one.
+expect_exit2 ablation_ta_units RTAD_ENSEMBLE_SIZE 3
+expect_exit2 table1_synthesis RTAD_ENSEMBLE_WINDOW 5000
+expect_exit2 table2_trimming RTAD_SERVE_CHECKPOINT_CAP_KB 1
 exit "${status}"
