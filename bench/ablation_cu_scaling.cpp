@@ -23,31 +23,31 @@ int run() {
 
   core::ExperimentRunner runner;
 
-  // The two trainings are independent: run them as competing pool tasks.
+  // The two trainings are independent: index 0 trains the ELM, 1 the LSTM.
   const auto& profile = workloads::find_profile("gcc");
   ml::DatasetBuilder builder(profile, 11);
-  auto elm_training = runner.pool().submit([&builder] {
-    auto windows = builder.collect_elm(260);
-    ml::ElmConfig ecfg;
-    ecfg.input_dim = builder.config().elm_vocab;
-    ml::Elm elm(ecfg);
-    elm.train(windows.windows);
-    return ml::compile_elm(elm, ml::Threshold(1e9f),
-                           builder.config().elm_window);
-  });
-  auto lstm_training = runner.pool().submit([] {
+  const auto images = runner.run_indexed(2, [&builder](std::size_t i) {
+    if (i == 0) {
+      auto windows = builder.collect_elm(260);
+      ml::ElmConfig ecfg;
+      ecfg.input_dim = builder.config().elm_vocab;
+      ml::Elm elm(ecfg);
+      elm.train(windows.windows);
+      return ml::compile_elm(elm, ml::Threshold(1e9f),
+                             builder.config().elm_window);
+    }
     ml::LstmConfig lcfg;
     lcfg.epochs = 2;
     ml::Lstm lstm(lcfg);
     std::vector<std::uint32_t> tokens;
-    for (int i = 0; i < 1'500; ++i) {
-      tokens.push_back(static_cast<std::uint32_t>(i % 9));
+    for (int t = 0; t < 1'500; ++t) {
+      tokens.push_back(static_cast<std::uint32_t>(t % 9));
     }
     lstm.train(tokens);
     return ml::compile_lstm(lstm, ml::Threshold(1e9f), 0.0f);
   });
-  const auto elm_image = elm_training.get();
-  const auto lstm_image = lstm_training.get();
+  const auto& elm_image = images[0];
+  const auto& lstm_image = images[1];
   const std::vector<std::uint32_t> elm_payload(builder.config().elm_vocab, 1);
 
   // Sweep CU counts 1..6 for both models in parallel; index i maps to

@@ -5,8 +5,8 @@
 // both layers. We compare training cost, detection quality and deployed
 // inference latency (identical kernels => identical latency).
 // The two trainings and the two deployed-latency simulations are
-// independent, so each pair races across the experiment runner's pool
-// (RTAD_JOBS); the train times are per-task wall-clock, so on stderr.
+// independent, so each pair is one run_indexed(2, ...) fan-out
+// (RTAD_JOBS); the train times are per-index wall-clock, so on stderr.
 #include <chrono>
 #include <iostream>
 
@@ -68,18 +68,17 @@ int run() {
   mcfg.hidden = ecfg.hidden;
   ml::Mlp mlp(mcfg);
 
-  auto elm_task = runner.pool().submit([&] {
+  const auto train_ms = runner.run_indexed(2, [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
-    elm.train(train);
+    if (i == 0) {
+      elm.train(train);
+    } else {
+      mlp.train(train);
+    }
     return ms_since(t0);
   });
-  auto mlp_task = runner.pool().submit([&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    mlp.train(train);
-    return ms_since(t0);
-  });
-  const double elm_train_ms = elm_task.get();
-  const double mlp_train_ms = mlp_task.get();
+  const double elm_train_ms = train_ms[0];
+  const double mlp_train_ms = train_ms[1];
 
   // --- calibrate + evaluate detection quality ---
   auto evaluate = [&](auto& model) {

@@ -8,7 +8,7 @@
 //      trimmed engine finishes ~2-4x sooner, so even with 5x the CU count
 //      it burns comparable-or-less energy per inference.
 // The three engine configurations are independent simulations and run
-// concurrently on the experiment runner's pool (RTAD_JOBS).
+// concurrently through the experiment runner (RTAD_JOBS).
 #include <iostream>
 
 #include "common.hpp"

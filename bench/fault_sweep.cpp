@@ -100,7 +100,7 @@ int run() {
 
   core::ExperimentRunner runner(0, bench::model_cache());
   std::cerr << "fault_sweep: " << cells.size() << " cells on "
-            << runner.pool().worker_count() << " workers...\n";
+            << runner.jobs() << " workers...\n";
   const auto results = runner.run_detection_matrix(cells);
 
   // --- regression gates ---

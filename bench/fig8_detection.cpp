@@ -6,8 +6,8 @@
 // branch data (monitored call targets / valid syscalls) and measure the
 // time from the first aberrant branch retiring to the MCM interrupt.
 //
-// The full matrix fans out across an ExperimentRunner pool; results are
-// aggregated in submission order, so stdout is byte-identical for any
+// The full matrix fans out through an ExperimentRunner; results are
+// aggregated in index order, so stdout is byte-identical for any
 // RTAD_JOBS value. Per-cell wall-clock/simulated-time costs go to stderr.
 //
 // The paper shape is all twelve benchmarks with 8 attacks per cell; under
@@ -95,7 +95,7 @@ int run() {
 
   core::ExperimentRunner runner(0, bench::model_cache());
   std::cerr << "fig8: " << cells.size() << " cells on "
-            << runner.pool().worker_count() << " workers...\n";
+            << runner.jobs() << " workers...\n";
   const auto results = runner.run_detection_matrix(cells);
 
   // Trace-frontend cost of the selected protocol: encoder bandwidth (bytes

@@ -10,8 +10,8 @@
 // one, which is the query engine's whole reason to exist.
 //
 // Stream synthesis is a pure function of (seed, tenant index): generation
-// fans the tenant range across the thread pool in fixed partitions, the
-// partitions are collected in submission order, and ingestion is serial —
+// fans the tenant range out (sim::fan_out) in fixed partitions, the
+// partitions are collected in index order, and ingestion is serial —
 // so the store contents, every query result, stdout, and the JSON artifact
 // (minus its "host" section) are byte-identical across RTAD_SCHED,
 // RTAD_JOBS, and RTAD_BACKEND. Host-side ingest throughput and ranked-query
@@ -27,7 +27,7 @@
 // RTAD_BENCH_JSON (default BENCH_telemetry.json); plus the spill path and
 // byte cap via RTAD_TELEMETRY / RTAD_TELEMETRY_CAP_KB, read by
 // serve::ServiceConfig::from_env (bench defaults: no spill, 32 MiB cap);
-// RTAD_JOBS sizes the synthesis pool. Pages hold 8 samples.
+// RTAD_JOBS sizes the synthesis fan-out. Pages hold 8 samples.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -45,9 +45,9 @@
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/serve/service.hpp"
+#include "rtad/sim/fan_out.hpp"
 #include "rtad/sim/rng.hpp"
 #include "rtad/sim/stats.hpp"
-#include "rtad/sim/thread_pool.hpp"
 #include "rtad/telemetry/query.hpp"
 #include "rtad/telemetry/store.hpp"
 
@@ -156,33 +156,21 @@ int run() {
             << kWarmTenants << " warm (early-burst), background flag rate "
                "0.1%\n\n";
 
-  // --- synthesis: fixed partitions fanned over the pool, collected in
-  // submission order (worker count never reaches the store) ---
+  // --- synthesis: fixed partitions fanned out, collected in index order
+  // (worker count never reaches the store) ---
   const std::size_t partitions = std::min<std::size_t>(64, tenants);
-  std::vector<std::vector<std::vector<telemetry::Sample>>> generated(
-      partitions);
   const auto t_gen = std::chrono::steady_clock::now();
-  {
-    sim::ThreadPool pool(core::resolve_jobs(0));
-    std::vector<std::future<std::vector<std::vector<telemetry::Sample>>>>
-        futures;
-    futures.reserve(partitions);
-    for (std::size_t p = 0; p < partitions; ++p) {
-      const std::size_t begin = p * tenants / partitions;
-      const std::size_t end = (p + 1) * tenants / partitions;
-      futures.push_back(pool.submit([=] {
+  const auto generated =
+      sim::fan_out(core::resolve_jobs(0), partitions, [&](std::size_t p) {
+        const std::size_t begin = p * tenants / partitions;
+        const std::size_t end = (p + 1) * tenants / partitions;
         std::vector<std::vector<telemetry::Sample>> part;
         part.reserve(end - begin);
         for (std::size_t t = begin; t < end; ++t) {
           part.push_back(synthesize(seed, t, samples));
         }
         return part;
-      }));
-    }
-    for (std::size_t p = 0; p < partitions; ++p) {
-      generated[p] = futures[p].get();
-    }
-  }
+      });
   const double gen_ms = wall_ms(t_gen);
 
   // --- serial ingest in tenant order ---

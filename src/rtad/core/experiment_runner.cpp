@@ -136,7 +136,7 @@ ExperimentRunner::ExperimentRunner(std::size_t jobs,
                                    std::shared_ptr<TrainedModelCache> cache)
     : cache_(cache ? std::move(cache)
                    : std::make_shared<TrainedModelCache>()),
-      pool_(resolve_jobs(jobs)) {}
+      jobs_(resolve_jobs(jobs)) {}
 
 std::vector<CellResult> ExperimentRunner::run_detection_matrix(
     const std::vector<DetectionCell>& cells) {
@@ -149,7 +149,7 @@ std::vector<CellResult> ExperimentRunner::run_detection_matrix(
     if (multi_cell) {
       // A shared export path (e.g. one RTAD_TRACE for the whole matrix)
       // would be clobbered by concurrently finishing cells; suffix with the
-      // submission index so names and contents are worker-count-stable.
+      // cell index so names and contents are worker-count-stable.
       options.trace_path = obs::indexed_path(options.trace_path, i);
       options.metrics_path = obs::indexed_path(options.metrics_path, i);
     }
@@ -181,11 +181,11 @@ void ExperimentRunner::print_cell_costs(
                    fmt(r.wall_ms > 0.0 ? sim_ms / r.wall_ms : 0.0, 3),
                    fmt_count(r.detection.inferences)});
   }
-  os << "Per-cell cost (" << pool_.worker_count()
+  os << "Per-cell cost (" << jobs_
      << " workers; wall-clock includes any training this cell waited on):\n";
   table.print(os);
   os << "Sum of per-cell wall-clock: " << fmt(total_wall_ms / 1000.0, 2)
-     << " s across " << pool_.worker_count() << " workers\n";
+     << " s across " << jobs_ << " workers\n";
 }
 
 void ExperimentRunner::print_health(std::ostream& os,

@@ -3,20 +3,19 @@
 // Every cell of the benchmark x model x engine matrix is an independent
 // deterministic simulation (each owns its RtadSoc; shared inputs —
 // TrainedModels, the profile catalog, the RTL inventory — are read-only),
-// so the matrix fans out across a work-stealing pool. Two invariants:
+// so the matrix fans out with sim::fan_out. Two invariants:
 //
 //   1. Train once per benchmark. TrainedModelCache runs LSTM BPTT + the
 //      ELM solve exactly once per profile (and drift phase) and deploys the
 //      same images on both MIAOW and ML-MIAOW — retraining per engine would
 //      double the dominant cost and is what the serial benches used to do.
-//   2. Results are collected in submission order. Output is byte-identical
+//   2. Results are collected in index order. Output is byte-identical
 //      for any worker count (RTAD_JOBS=1 vs =N); only wall-clock differs.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,7 +27,7 @@
 #include <vector>
 
 #include "rtad/core/experiment.hpp"
-#include "rtad/sim/thread_pool.hpp"
+#include "rtad/sim/fan_out.hpp"
 
 namespace rtad::core {
 
@@ -37,8 +36,8 @@ namespace rtad::core {
 /// phase of the snapshot (a frozen DatasetBuilder reads its instant only
 /// through DriftSchedule::phase_at_ps). Safe for concurrent get(): the
 /// first caller of a key trains inline on its own thread (call_once); peers
-/// needing the same key block on that running training, never on a queued
-/// task, so pool workers cannot deadlock.
+/// needing the same key block on that training, which is already running,
+/// so fan-out threads cannot deadlock.
 class TrainedModelCache {
  public:
   /// Maps a benchmark name to the profile to train/run with. The default
@@ -158,7 +157,7 @@ struct CellResult {
   double wall_ms = 0.0;
 };
 
-/// Worker count for a pool: `jobs` itself when nonzero, else RTAD_JOBS if
+/// Worker count for a fan-out: `jobs` itself when nonzero, else RTAD_JOBS if
 /// set, else std::thread::hardware_concurrency() (at least 1). A
 /// set-but-malformed RTAD_JOBS (non-numeric, zero, negative) throws
 /// std::invalid_argument.
@@ -172,33 +171,24 @@ class ExperimentRunner {
   explicit ExperimentRunner(std::size_t jobs = 0,
                             std::shared_ptr<TrainedModelCache> cache = {});
 
-  sim::ThreadPool& pool() noexcept { return pool_; }
+  /// The resolved worker count every fan-out of this runner uses.
+  std::size_t jobs() const noexcept { return jobs_; }
   TrainedModelCache& cache() noexcept { return *cache_; }
 
-  /// Fan the cells across the pool. results[i] corresponds to cells[i]
-  /// regardless of completion order or worker count. When more than one
-  /// cell carries an RTAD_TRACE/RTAD_METRICS path, each cell's export is
-  /// suffixed with its submission index (obs::indexed_path) so racing
-  /// cells never clobber a shared file and names are worker-count-stable.
+  /// Fan the cells out over jobs() threads. results[i] corresponds to
+  /// cells[i] regardless of completion order or worker count. When more
+  /// than one cell carries an RTAD_TRACE/RTAD_METRICS path, each cell's
+  /// export is suffixed with its index (obs::indexed_path) so racing cells
+  /// never clobber a shared file and names are worker-count-stable.
   std::vector<CellResult> run_detection_matrix(
       const std::vector<DetectionCell>& cells);
 
-  /// Generic deterministic fan-out: out[i] = fn(i), submission order.
-  /// For bench stages that are not detection cells (offline inference
-  /// sweeps, competing trainings).
+  /// Generic deterministic fan-out: out[i] = fn(i), index order, with
+  /// sim::fan_out's join-before-rethrow contract. For bench stages that are
+  /// not detection cells (offline inference sweeps, competing trainings).
   template <typename Fn>
-  auto run_indexed(std::size_t n, Fn fn)
-      -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
-    using R = std::invoke_result_t<Fn, std::size_t>;
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool_.submit([fn, i] { return fn(i); }));
-    }
-    std::vector<R> out;
-    out.reserve(n);
-    for (auto& f : futures) out.push_back(f.get());
-    return out;
+  auto run_indexed(std::size_t n, const Fn& fn) {
+    return sim::fan_out(jobs_, n, fn);
   }
 
   /// Per-cell cost table (simulated ms, wall ms, speed ratio, inferences)
@@ -227,7 +217,7 @@ class ExperimentRunner {
 
  private:
   std::shared_ptr<TrainedModelCache> cache_;
-  sim::ThreadPool pool_;
+  std::size_t jobs_;
 };
 
 }  // namespace rtad::core

@@ -9,13 +9,11 @@
 // API filtering is a set of exact entry points.
 //
 // The mapper consumes protocol-neutral DecodedBranch records. Its lookup
-// keys are full 64-bit values, but the widths actually reachable depend on
-// the trace protocol upstream: trace::traits(proto).address_bits bounds the
-// decoded address (32 for both PFT and E-Trace today) and
-// .address_alignment gives the instruction-size granularity (bit 0 of a
-// branch target is never traced by either grammar). Tables built for one
-// protocol therefore carry over to the other as long as both constraints
-// match — assert on traits() rather than assuming PFT if that ever changes.
+// keys are full 64-bit values, but both trace protocols (PFT and E-Trace)
+// decode 32-bit, 2-byte-aligned branch targets: bit 0 of a target is never
+// traced, and no decoded address exceeds 32 bits. Tables built for one
+// protocol therefore carry over to the other; a protocol that traced wider
+// or finer-grained targets would need its own tables.
 #pragma once
 
 #include <cstdint>

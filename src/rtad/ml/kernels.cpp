@@ -13,12 +13,10 @@ constexpr const char* kPosLog2E = "1.4426950408889634";
 constexpr const char* kNeg2Log2E = "-2.8853900817779268";
 constexpr const char* kLn2 = "0.6931471805599453";
 
-Program cached(const std::string& src) { return assemble(src); }
-
 }  // namespace
 
 Program elm_hidden() {
-  return cached(R"(
+  return assemble(R"(
 .kernel elm_hidden
 .vgprs 16
 .lds 0
@@ -76,7 +74,7 @@ Program elm_recon() {
   // the d hidden neurons of its group. Every lane is busy and the neuron
   // loop is only d iterations — this is what keeps the deployed ELM an
   // order lighter than the LSTM (§IV-C).
-  return cached(R"(
+  return assemble(R"(
 .kernel elm_recon
 .vgprs 16
 .lds 0
@@ -203,11 +201,11 @@ es_err:
   global_store_dword v14, v2, s9
   s_endpgm
 )";
-  return cached(src);
+  return assemble(src);
 }
 
 Program lstm_gates() {
-  return cached(R"(
+  return assemble(R"(
 .kernel lstm_gates
 .vgprs 16
 .lds 0
@@ -273,7 +271,7 @@ lg_store:
 }
 
 Program lstm_state() {
-  return cached(R"(
+  return assemble(R"(
 .kernel lstm_state
 .vgprs 16
 .lds 0
@@ -305,7 +303,7 @@ Program lstm_state() {
 }
 
 Program lstm_logits() {
-  return cached(R"(
+  return assemble(R"(
 .kernel lstm_logits
 .vgprs 16
 .lds 0
@@ -424,7 +422,7 @@ Program lstm_score() {
   s_mov_b64 exec, s18
   s_endpgm
 )";
-  return cached(src);
+  return assemble(src);
 }
 
 }  // namespace rtad::ml::kernels

@@ -12,7 +12,7 @@
 // so eviction can change completion times but never verdicts.
 //
 // Single-writer discipline: each Shard owns one store and runs whole on one
-// pool task; the Service moves entries between stores only at round
+// fan-out index; the Service moves entries between stores only at round
 // barriers. No locking, no iteration-order dependence (lookups by ticket
 // only), fully deterministic.
 #pragma once

@@ -1,13 +1,13 @@
 #include "rtad/serve/service.hpp"
 
 #include <algorithm>
-#include <future>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "rtad/core/env.hpp"
 #include "rtad/obs/json.hpp"
+#include "rtad/sim/fan_out.hpp"
 #include "rtad/telemetry/query.hpp"
 
 namespace rtad::serve {
@@ -123,7 +123,7 @@ Service::Service(ServiceConfig cfg,
     : cfg_(std::move(cfg)),
       cache_(cache ? std::move(cache)
                    : std::make_shared<core::TrainedModelCache>()),
-      pool_(core::resolve_jobs(jobs)) {
+      jobs_(core::resolve_jobs(jobs)) {
   if (cfg_.quantum_ps == 0) {
     throw std::invalid_argument("Service: quantum_ps must be nonzero");
   }
@@ -165,22 +165,20 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
   rep.outcomes.reserve(requests.size());
 
   // Round loop. Round 0 replays the offered schedule; each later round
-  // replays the re-offers born from the previous round's crashes. Shards
-  // run whole on one pool task each, futures are collected in shard-index
+  // replays the re-offers born from the previous round's crashes. Each
+  // shard runs whole on one fan-out index, results merge in shard-index
   // order, and the inter-round orphan routing is single-threaded over a
   // canonically sorted list — so the merged report is byte-identical for
   // any worker count. Rounds are bounded: every crash/wedge fires at most
   // once, so orphans cannot regenerate forever (the cap is a backstop).
   constexpr std::size_t kMaxRounds = 16;
   for (std::size_t round = 0;; ++round) {
-    std::vector<std::future<std::vector<SessionOutcome>>> futures;
-    futures.reserve(shards.size());
-    for (auto& shard : shards) {
-      futures.push_back(pool_.submit([&s = *shard] { return s.run(); }));
-    }
+    auto ran = sim::fan_out(jobs_, shards.size(), [&shards](std::size_t s) {
+      return shards[s]->run();
+    });
     std::vector<FailoverItem> orphans;
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      for (auto& o : futures[s].get()) rep.outcomes.push_back(std::move(o));
+      for (auto& o : ran[s]) rep.outcomes.push_back(std::move(o));
       for (auto& item : shards[s]->take_failover()) {
         orphans.push_back(std::move(item));
       }

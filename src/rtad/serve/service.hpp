@@ -4,10 +4,11 @@
 // the simulated fleet clock), routes each to its tenant's shard, replays
 // every shard's queueing simulation, and merges the outcomes back into
 // submission (ticket) order. Shards are independent — each owns its SoCs,
-// its ingress queue, and its slice of the schedule — so they fan out across
-// the PR-1 thread pool; the merge collects shard futures in shard-index
-// order, which keeps every observable (outcomes, SLO report, the
-// rtad.serve.v1 JSON) byte-identical for any RTAD_JOBS.
+// its ingress queue, and its slice of the schedule — so each round fans
+// them out with sim::fan_out, which joins every shard before it returns or
+// rethrows; the merge takes shard results in shard-index order, which keeps
+// every observable (outcomes, SLO report, the rtad.serve.v1 JSON)
+// byte-identical for any RTAD_JOBS.
 //
 // When the fault plan (RTAD_FAULTS serve.* keys) is active, run() becomes a
 // round loop: shards replay their schedules in parallel as before, then the
@@ -141,7 +142,7 @@ class Service {
  private:
   ServiceConfig cfg_;
   std::shared_ptr<core::TrainedModelCache> cache_;
-  sim::ThreadPool pool_;
+  std::size_t jobs_;  ///< resolved worker count of each round's fan-out
   /// The fleet's member generations; null when cfg.ensemble is inactive.
   std::unique_ptr<core::GenerationCache> generations_;
 };

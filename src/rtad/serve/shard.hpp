@@ -40,7 +40,7 @@
 // Everything stays deterministic: the fault timeline is a pure function of
 // (seed, shard id), retries are pure functions of (ticket, attempt), and no
 // wall clock or host-thread ordering reaches any observable (shards run
-// whole on one pool task; see Service). A shard with no active fault plan
+// whole on one fan-out index; see Service). A shard with no active fault plan
 // and a zero retry budget is byte-identical to the pre-failover shard.
 #pragma once
 

@@ -13,16 +13,6 @@ const char* to_string(TraceProtocol proto) noexcept {
   return "?";
 }
 
-const ProtocolTraits& traits(TraceProtocol proto) noexcept {
-  // PFT: A-sync (5) + I-sync (6) + CONTEXTID (2) preamble; branch packets
-  // up to 5 bytes, I-sync 6; atoms carry 4 outcomes.
-  static constexpr ProtocolTraits kPftTraits{"pft", 32, 2, 6, 13, 4};
-  // E-Trace: 3 sync bytes + terminator + 4 addr + context preamble;
-  // address packets up to 1+4 bytes; maps carry up to 31 outcomes.
-  static constexpr ProtocolTraits kEtraceTraits{"etrace", 32, 2, 5, 9, 31};
-  return proto == TraceProtocol::kPft ? kPftTraits : kEtraceTraits;
-}
-
 std::unique_ptr<TraceEncoder> make_encoder(TraceProtocol proto) {
   if (proto == TraceProtocol::kEtrace) {
     return std::make_unique<EtraceEncoder>();

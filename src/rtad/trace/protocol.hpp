@@ -28,18 +28,4 @@ enum class TraceProtocol : std::uint8_t {
 
 const char* to_string(TraceProtocol proto) noexcept;
 
-/// Structural assumptions a protocol imposes on the pipeline, made explicit
-/// so downstream consumers (AddressMapper tables, vector encoders) never
-/// bake one protocol's geometry in silently.
-struct ProtocolTraits {
-  const char* name;          ///< stable lower-case identifier
-  int address_bits;          ///< traced target width (bits [msb:1])
-  int address_alignment;     ///< bytes; bit 0 of a target is never traced
-  int max_packet_bytes;      ///< longest packet incl. header (sync aside)
-  int sync_preamble_bytes;   ///< resync preamble length on the wire
-  int max_outcomes_per_packet;  ///< conditional outcomes one packet batches
-};
-
-const ProtocolTraits& traits(TraceProtocol proto) noexcept;
-
 }  // namespace rtad::trace

@@ -1,16 +1,17 @@
 // Determinism regression: the parallel experiment engine must produce
 // bit-identical results for any worker count. The same (benchmark, seed)
-// cells run serially (direct measure_detection) and through the pool at 1,
-// 2, and 8 workers; detection latencies, the per-inference anomaly-score
-// digest, and the FIFO-overflow counters must match exactly. Run under
-// ThreadSanitizer (cmake -DRTAD_SANITIZE=thread) this doubles as the race
-// detector for the whole train -> cache -> fan-out -> merge path.
+// cells run serially (direct measure_detection) and through the runner's
+// fan-out at 1, 2, and 8 workers; detection latencies, the per-inference
+// anomaly-score digest, and the FIFO-overflow counters must match exactly.
+// Run under ThreadSanitizer (cmake -DRTAD_SANITIZE=thread) this doubles as
+// the race detector for the whole train -> cache -> fan-out -> merge path.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "rtad/core/experiment_runner.hpp"
+#include "rtad/sim/fan_out.hpp"
 
 namespace rtad::core {
 namespace {
@@ -42,7 +43,7 @@ std::shared_ptr<TrainedModelCache> shared_cache() {
 std::vector<DetectionCell> matrix() {
   DetectionOptions dopt;
   dopt.attacks = 2;
-  // Both models twice over: repeats give the pool real contention at 8
+  // Both models twice over: repeats give the fan-out real contention at 8
   // workers, and every repeat must still be bit-identical.
   std::vector<DetectionCell> cells;
   for (int repeat = 0; repeat < 2; ++repeat) {
@@ -73,7 +74,7 @@ TEST(Determinism, PoolMatchesSerialAtEveryWorkerCount) {
   const auto cells = matrix();
   auto cache = shared_cache();
 
-  // Serial reference: direct measure_detection calls, no pool involved.
+  // Serial reference: direct measure_detection calls, no fan-out involved.
   std::vector<DetectionResult> serial;
   for (const auto& cell : cells) {
     serial.push_back(measure_detection(cache->profile(cell.benchmark),
@@ -132,7 +133,7 @@ TEST(Determinism, EventKernelMatchesDenseBitForBit) {
   }
 }
 
-TEST(Determinism, EventKernelMatchesDenseThroughThePool) {
+TEST(Determinism, EventKernelMatchesDenseThroughTheFanOut) {
   // Same comparison fanned out across 8 workers: scheduling mode must not
   // interact with the trained-model cache or result merge order.
   auto cells = matrix();
@@ -161,14 +162,8 @@ TEST(Determinism, ModelCacheTrainsEachBenchmarkOnce) {
 
 TEST(Determinism, CacheReturnsSameInstanceAcrossThreads) {
   auto cache = shared_cache();
-  sim::ThreadPool pool(4);
-  std::vector<std::future<const TrainedModels*>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit([&] { return &cache->get("astar"); }));
-  }
-  std::vector<const TrainedModels*> instances;
-  instances.reserve(futures.size());
-  for (auto& f : futures) instances.push_back(f.get());
+  const auto instances = sim::fan_out(
+      4, 16, [&](std::size_t) { return &cache->get("astar"); });
   for (const auto* p : instances) EXPECT_EQ(p, instances.front());
 }
 

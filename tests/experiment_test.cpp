@@ -4,7 +4,7 @@
 //   - ML-MIAOW (5 trimmed CUs) beats MIAOW (1 CU) on every cell (§IV-C);
 //   - ELM latency is nearly constant across benchmarks (Fig. 8 top);
 //   - LSTM latency sits well above ELM latency (53.16 vs 13.83 us means);
-//   - results come back in submission order with one training/benchmark.
+//   - results come back in index order with one training/benchmark.
 // Benchmarks are chosen at opposite ends of the branch-pressure spectrum:
 // 456.hmmer (8% branches) vs 471.omnetpp (26%, the paper's drop-heavy
 // case).

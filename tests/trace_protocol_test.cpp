@@ -44,21 +44,9 @@ TEST(TraceProtocolFactory, EncoderDecoderPairsMatchProtocol) {
     ASSERT_NE(dec, nullptr);
     EXPECT_EQ(enc->protocol(), proto);
     EXPECT_EQ(dec->protocol(), proto);
-    EXPECT_STREQ(to_string(proto), traits(proto).name);
   }
-}
-
-TEST(TraceProtocolFactory, TraitsDescribeBothGrammars) {
-  for (auto proto : {TraceProtocol::kPft, TraceProtocol::kEtrace}) {
-    const auto& t = traits(proto);
-    EXPECT_EQ(t.address_bits, 32);
-    EXPECT_EQ(t.address_alignment, 2);  // addr[0] never traced
-    EXPECT_GT(t.max_packet_bytes, 0);
-    EXPECT_GT(t.sync_preamble_bytes, 0);
-  }
-  // The design point of the E-Trace grammar: much deeper outcome batching.
-  EXPECT_GT(traits(TraceProtocol::kEtrace).max_outcomes_per_packet,
-            traits(TraceProtocol::kPft).max_outcomes_per_packet);
+  EXPECT_STREQ(to_string(TraceProtocol::kPft), "pft");
+  EXPECT_STREQ(to_string(TraceProtocol::kEtrace), "etrace");
 }
 
 // --------------------------------------------------- E-Trace packet shape
@@ -70,8 +58,6 @@ TEST(EtracePacketShape, SyncPreambleIsRunTerminatorAddressContext) {
   const std::vector<std::uint8_t> expected = {
       0x03, 0x03, 0x03, 0xF3, 0x78, 0x56, 0x34, 0x12, 0x07};
   EXPECT_EQ(bytes, expected);
-  EXPECT_EQ(static_cast<int>(bytes.size()),
-            traits(TraceProtocol::kEtrace).sync_preamble_bytes);
 }
 
 TEST(EtracePacketShape, BranchMapBatchesOutcomesLsbFirst) {
